@@ -48,7 +48,7 @@ def main():
     reporting.write_snapshot(os.path.join(args.out, "profile.csv"),
                              profile.grid.centers, profile.u, profile.v,
                              t=0.0, eps=0.0, preset=c.name, n_cells=args.grid_n)
-    orbit = st.integrate_orbit(p, v0)
+    orbit = profile.orbit
     stride = max(1, orbit.v.size // 2048)
     energies = np.array([st.energy(p, orbit.v[i], orbit.w[i])
                          for i in range(0, orbit.v.size, stride)])

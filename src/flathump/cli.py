@@ -181,19 +181,28 @@ def load_config(path: str) -> Config:
     return Config.from_mapping(parse_config_text(text))
 
 
+def _spec_number(convert, text: str, key: str, spec: str):
+    """``convert(text)`` for a number inside a spec; InputError if malformed."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise InputError(f"config key {key!r}: cannot parse {text!r} in {spec!r}") from None
+
+
 def initial_profile(spec: str, grid: pde.Grid1D, rng: np.random.Generator,
                     chemical: bool = False) -> np.ndarray:
     """Initial-data builders: constant:V | bump | step | random | file:PATH."""
+    key = "initial.v" if chemical else "initial.u"
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
     if kind == "constant":
-        return pde.profile_constant(grid, float(arg or "0.5"))
+        return pde.profile_constant(grid, _spec_number(float, arg or "0.5", key, spec))
     if kind == "bump":
         return pde.profile_bump(grid)
     if kind == "step":
         return pde.profile_step(grid)
     if kind == "random":
-        hi = float(arg) if arg else 1.0
+        hi = _spec_number(float, arg, key, spec) if arg else 1.0
         return pde.profile_random(grid, rng, 0.0, hi)
     if kind == "file":
         data = np.genfromtxt(arg, delimiter=",", names=True, comments="#")
@@ -259,11 +268,13 @@ def _resolve_v0(cfg: Config, params: st.PhaseParams) -> float:
     if spec == "auto":
         return st.default_v0(params)
     kind, _, arg = spec.partition(":")
+    key = "stationary.v0"
     if kind == "length":
-        return st.v0_for_length(params, float(arg))
+        return st.v0_for_length(params, _spec_number(float, arg, key, spec))
     if kind == "align":
         n_str, _, idx_str = arg.partition(":")
-        return st.v0_for_edge_alignment(params, int(n_str), int(idx_str), use_orbit=True)
+        return st.v0_for_edge_alignment(params, _spec_number(int, n_str, key, spec),
+                                        _spec_number(int, idx_str, key, spec), use_orbit=True)
     try:
         return float(spec)
     except ValueError:
@@ -282,7 +293,7 @@ def cmd_stationary(cfg: Config) -> int:
         return EXIT_STRUCTURAL
     v0 = _resolve_v0(cfg, params)
     profile = st.construct_flat_hump(params, v0, cfg.stationary_grid_n)
-    orbit = st.integrate_orbit(params, v0)
+    orbit = profile.orbit
 
     out = cfg.out_dir
     reporting.write_snapshot(os.path.join(out, "profile.csv"),

@@ -293,18 +293,19 @@ class PhaseOrbit:
         return CubicHermiteSpline(self.x, self.v, self.w)
 
 
-def _verlet_step(rhs: Callable[[float], float], v: float, w: float, a: float,
-                 h: float) -> tuple[float, float, float]:
-    """One kick-drift-kick step; returns (v, w, rhs(v)) reusing the force."""
-    w_half = w + 0.5 * h * a
-    v_new = v + h * w_half
-    a_new = rhs(v_new)
-    return v_new, w_half + 0.5 * h * a_new, a_new
+def _composed_step(rhs: Callable[[float], float], v: float, w: float, a: float,
+                   h: float) -> tuple[float, float, float]:
+    """One Yoshida step: three kick-drift-kick stages of lengths c * h.
 
-
-def _composed_step(rhs, v, w, a, h):
+    Returns (v, w, rhs(v)); each stage reuses the force of the previous one.
+    """
     for c in _YOSHIDA:
-        v, w, a = _verlet_step(rhs, v, w, a, c * h)
+        hc = c * h
+        half = 0.5 * hc
+        w_half = w + half * a
+        v = v + hc * w_half
+        a = rhs(v)
+        w = w_half + half * a
     return v, w, a
 
 
@@ -461,7 +462,11 @@ def turning_point(p: PhaseParams, v0: float, e0: Optional[float] = None) -> floa
 
 @dataclass
 class StationaryProfile:
-    """Sampled flat-hump pair with its residual diagnostics."""
+    """Sampled flat-hump pair with its residual diagnostics.
+
+    ``orbit`` is the phase orbit v was sampled from, kept so that callers
+    need not integrate it again (None for a profile assembled by hand).
+    """
 
     params: PhaseParams
     grid: "object"                 # pde.Grid1D; typed loosely to avoid a cycle
@@ -473,6 +478,7 @@ class StationaryProfile:
     v0: float
     residual_flux: float = math.nan
     residual_v: float = math.nan
+    orbit: Optional[PhaseOrbit] = None
 
     @property
     def plateau(self) -> tuple[float, float]:
@@ -571,64 +577,85 @@ def edge_position(p: PhaseParams, v0: float, e0: Optional[float] = None) -> floa
     return val
 
 
+def _spline_gap(x: float, spline: CubicHermiteSpline, level: float) -> float:
+    # a module-level root function with the spline passed through brentq's
+    # args: brentq's wrapper sits in a reference cycle, and a closure over
+    # the spline would keep it alive until a full garbage collection
+    return float(spline(x)) - level
+
+
+# Edge alignment searches y = log(1 - frac), frac the position in the
+# admissible energy window: the period diverges logarithmically toward the
+# top of the window, so the edge misfit is smooth and monotone in y.  On
+# the canonical setup it falls by 13.6 cells per decade of 1 - frac near
+# frac = 0.99 and by 1.6 near the root at frac = 1 - 2.8e-6.
+EDGE_ALIGN_Y_BRACKET = (math.log(0.05), math.log(1e-8))
+# 1e-9 in y is about 1e-9 cells of edge (1.6 cells per decade is 0.7 per
+# unit of y), far below the +-2e-6-cell resolution floor of the
+# orbit-measured misfit
+EDGE_ALIGN_XTOL = 1e-9
+
+
 def v0_for_edge_alignment(p: PhaseParams, n_cells: int, edge_index: int,
-                          bracket: tuple[float, float] = (0.95, 1.0 - 1e-8),
                           use_orbit: bool = False) -> float:
     """v0 whose plateau edge lands on a cell interface of an n_cells mesh.
 
-    Solves x1(v0) * n_cells / period(v0) = edge_index over the energy
-    window fractions in ``bracket``.  With the edge on an interface at
-    n_cells it stays on one at every dyadic refinement, so refinement
-    studies of edge-sensitive quantities (like the relaxation drift of the
-    time-dependent solver) see clean first-order scaling instead of the
-    pseudo-random kink-to-cell offset.
+    Solves x1(v0) * n_cells / period(v0) = edge_index for v0 at energy
+    fraction frac = 1 - exp(y) of the admissible window, by Brent's method
+    on y over EDGE_ALIGN_Y_BRACKET (frac from 0.95 to 1 - 1e-8).  With the
+    edge on an interface at n_cells it stays on one at every dyadic
+    refinement, so refinement studies of edge-sensitive quantities (like the
+    relaxation drift of the time-dependent solver) see clean first-order
+    scaling instead of the pseudo-random kink-to-cell offset.
 
     ``use_orbit`` measures x1 and the period on the discrete orbit that
     :func:`construct_flat_hump` will actually use; near the top of the
     energy window the period is sensitive enough that the quadrature and
-    the integrator disagree by a visible fraction of a cell.
+    the integrator disagree by a visible fraction of a cell.  The
+    orbit-measured misfit is only resolved to about 2e-6 cells, so the
+    root is not better than that; on the canonical setup the solve takes
+    about 15 orbit integrations.
     """
     window = energy_window(p)
     e_lo, e_hi = window.admissible
 
-    def v0_of(frac: float) -> float:
+    def v0_of(y: float) -> float:
+        frac = -math.expm1(y)
         target = e_lo + frac * (e_hi - e_lo)
         return brentq(lambda v: potential(p, v) - target,
                       p.rho_saddle + 1e-13, p.rho_center - 1e-13,
                       xtol=1e-15, rtol=8.9e-16)
 
-    def misfit(frac: float) -> float:
-        v0 = v0_of(frac)
-        if use_orbit:
-            try:
-                orbit = integrate_orbit(p, v0)
-            except (ConstructionError, InputError):
-                # escaped or out-of-window probe: infinite period, so the
-                # edge index per cell count is effectively zero
-                return -float(edge_index)
-            spline = orbit.spline()
-            x1 = brentq(lambda x: float(spline(x)) - p.v_sat, 0.0,
-                        0.5 * orbit.period, xtol=1e-12)
-            return x1 * n_cells / orbit.period - edge_index
-        e0 = potential(p, v0)
-        return edge_position(p, v0, e0) * n_cells / _period_quadrature(p, v0, e0) - edge_index
+    def edge_misfit(y: float) -> float:
+        v0 = v0_of(y)
+        if not use_orbit:
+            e0 = potential(p, v0)
+            return edge_position(p, v0, e0) * n_cells / _period_quadrature(p, v0, e0) - edge_index
+        try:
+            orbit = integrate_orbit(p, v0)
+        except (ConstructionError, InputError):
+            # escaped or out-of-window probe: infinite period, so the
+            # edge index per cell count is effectively zero
+            return -float(edge_index)
+        x1 = brentq(_spline_gap, 0.0, 0.5 * orbit.period, args=(orbit.spline(), p.v_sat),
+                    xtol=1e-12)
+        return x1 * n_cells / orbit.period - edge_index
 
-    fa, fb = bracket
-    ma, mb = misfit(fa), misfit(fb)
+    memo: dict[float, float] = {}
+
+    def misfit(y: float) -> float:
+        # brentq starts from the two bracket ends, already probed below
+        if y not in memo:
+            memo[y] = edge_misfit(y)
+        return memo[y]
+
+    ya, yb = EDGE_ALIGN_Y_BRACKET
+    ma, mb = misfit(ya), misfit(yb)
     if ma * mb > 0:
         raise ConstructionError(
             f"edge index {edge_index} not bracketed: misfit ({ma:.3g}, {mb:.3g}); "
             "the index corresponds to a period outside the admissible window")
-    for _ in range(100):
-        fm = 0.5 * (fa + fb)
-        mm = misfit(fm)
-        if mm * ma > 0:
-            fa, ma = fm, mm
-        else:
-            fb, mb = fm, mm
-        if abs(mm) < 1e-10 or fb - fa < 1e-15:
-            break
-    return v0_of(0.5 * (fa + fb))
+    return v0_of(brentq(misfit, ya, yb, xtol=EDGE_ALIGN_XTOL))
 
 
 def construct_flat_hump(p: PhaseParams, v0: Optional[float] = None,
@@ -662,7 +689,7 @@ def construct_flat_hump(p: PhaseParams, v0: Optional[float] = None,
     probe = spline(np.linspace(0.0, half, 4096))
     if probe.max() < p.v_sat:
         raise ConstructionError("orbit maximum stays below the saturation level")
-    x1 = brentq(lambda x: float(spline(x)) - p.v_sat, 0.0, half, xtol=1e-11)
+    x1 = brentq(_spline_gap, 0.0, half, args=(spline, p.v_sat), xtol=1e-11)
 
     grid = Grid1D(grid_n, length)
     x = grid.centers
@@ -676,7 +703,7 @@ def construct_flat_hump(p: PhaseParams, v0: Optional[float] = None,
     u = np.minimum(u, 1.0)
 
     profile = StationaryProfile(params=p, grid=grid, u=u, v=v, x1=float(x1),
-                                lam=p.lam, length=length, v0=v0)
+                                lam=p.lam, length=length, v0=v0, orbit=orbit)
     profile.residual_flux, profile.residual_v = stationary_residuals(profile)
     return profile
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,6 +149,28 @@ stationary.lambda = -2.0
             "stationary.v0 = auto", "stationary.v0 = length:0.001"))
         assert cli.main(["stationary", "--config", cfg_path,
                          "--out", str(tmp_path / "o")]) == 5
+
+
+@pytest.mark.parametrize("command, key, spec", [
+    ("simulate", "initial.u", "constant:abc"),
+    ("simulate", "initial.u", "random:abc"),
+    ("stationary", "stationary.v0", "length:abc"),
+    ("stationary", "stationary.v0", "align:abc:16"),
+])
+def test_malformed_number_in_spec_exits_2(tmp_path, command, key, spec):
+    # the appended line overrides the base config's value for the key
+    base = SIM_CFG if command == "simulate" else STAT_CFG
+    cfg_path = write_cfg(tmp_path, "bad.cfg", f"{base}\n{key} = {spec}\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flathump.cli", command, "--config", cfg_path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert key in proc.stderr
 
 
 class TestVerifyAndSweep:

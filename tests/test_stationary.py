@@ -1,7 +1,9 @@
+import gc
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from flathump import coefficients as co
@@ -139,6 +141,27 @@ class TestOrbit:
         oracle = st.orbit_period_oracle(p, v0)
         assert orbit.period == pytest.approx(oracle, rel=1e-6)
 
+    def test_composed_step_is_three_verlet_stages(self, canonical_params):
+        # Yoshida's 4th-order composition written out stage by stage; the
+        # stepper must reproduce it bit for bit, on both sides of v_sat
+        p = canonical_params
+        rhs = st._rhs_fn(p)
+        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+        w0 = 1.0 - 2.0 * w1
+        h = 1.5e-3
+        for v_start, w_start in ((st.default_v0(p), 0.0), (p.v_sat - 1e-4, 0.02),
+                                 (p.v_sat + 1e-4, -0.01)):
+            v, w, a = v_start, w_start, rhs(v_start)
+            for _ in range(50):
+                expected_v, expected_w, expected_a = v, w, a
+                for c in (w1, w0, w1):
+                    w_half = expected_w + 0.5 * (c * h) * expected_a
+                    expected_v = expected_v + (c * h) * w_half
+                    expected_a = rhs(expected_v)
+                    expected_w = w_half + 0.5 * (c * h) * expected_a
+                v, w, a = st._composed_step(rhs, v, w, a, h)
+                assert (v, w, a) == (expected_v, expected_w, expected_a)
+
     def test_precondition_violations(self, canonical_params):
         p = canonical_params
         with pytest.raises(InputError):
@@ -199,6 +222,26 @@ class TestConstruction:
         with pytest.raises(InputError):
             st.construct_flat_hump(p, v0, 256)
 
+    def test_keeps_its_orbit(self, canonical_profiles, canonical_params, aligned_v0):
+        prof = canonical_profiles[1024]
+        assert prof.orbit.v0 == aligned_v0
+        assert prof.orbit.period == prof.length
+        again = st.integrate_orbit(canonical_params, aligned_v0)
+        for name in ("x", "v", "w"):
+            assert np.array_equal(getattr(prof.orbit, name), getattr(again, name))
+
+    def test_leaves_no_spline_for_the_collector(self, canonical_params, aligned_v0):
+        # each orbit's Hermite spline (4 MB at the default resolution) must
+        # be freed by reference counting, not wait in a reference cycle
+        gc.collect()
+        gc.disable()
+        try:
+            st.construct_flat_hump(canonical_params, aligned_v0, 256)
+            leftover = sum(isinstance(obj, CubicHermiteSpline) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert leftover == 0
+
     def test_discrete_h1_norm_stabilizes(self, canonical_profiles):
         # the integrability condition holds for the closing example, so the
         # discrete H1 seminorm must settle under refinement
@@ -234,6 +277,31 @@ class TestV0Selection:
         x1 = st.edge_position(canonical_params, v0, e0)
         period = st.orbit_period_oracle(canonical_params, v0)
         assert x1 * 1024 / period == pytest.approx(16.0, abs=1e-6)
+
+    def test_orbit_alignment_lands_on_the_interface(self, canonical_profiles):
+        # the aligned edge measured on the orbit the profile was built from;
+        # the orbit resolves it to about 2e-6 cells
+        prof = canonical_profiles[1024]
+        assert abs(prof.x1 * 1024 / prof.length - 16.0) <= 1e-5
+
+    def test_orbit_alignment_probe_count(self, canonical_params, aligned_v0, monkeypatch):
+        # Brent's method on log(1 - energy fraction), where the misfit is
+        # smooth, needs about 15 orbit integrations here
+        integrate = st.integrate_orbit
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(st, "integrate_orbit", counted)
+        v0 = st.v0_for_edge_alignment(canonical_params, 1024, 16, use_orbit=True)
+        assert v0 == aligned_v0
+        assert len(calls) <= 16
+
+    def test_unreachable_edge_index_rejected(self, canonical_params):
+        with pytest.raises(ConstructionError, match="not bracketed"):
+            st.v0_for_edge_alignment(canonical_params, 1024, 1000)
 
 
 class TestDensityBounds:
