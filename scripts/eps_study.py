@@ -23,7 +23,6 @@ def main():
     ap.add_argument("--n", type=int, default=256)
     ap.add_argument("--length", type=float, default=10.0)
     ap.add_argument("--eps", default="1e-1,5e-2,2.5e-2,1.25e-2")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="out/eps_study")
     args = ap.parse_args()
 
@@ -34,8 +33,7 @@ def main():
     cfg = pde.SolverConfig(eps=1.0, t_end=args.t_end, dt_max=1e-2)
     eps_list = [float(tok) for tok in args.eps.split(",")]
 
-    table = dg.eps_convergence_study(u0, v0, grid, c, cfg, eps_list,
-                                     workers=args.workers)
+    table = dg.eps_convergence_study(u0, v0, grid, c, cfg, eps_list)
     print(f"{'eps':>10} {'eps/2':>10} {'||du||_L2':>12} {'||dv||_L2':>12}")
     for row in table.rows:
         e, eh, du, dv = row.values

@@ -69,7 +69,6 @@ class SeparableFactors:
     h1: Func1
     h2: Func1
     # optional closed forms; all generic paths fall back to quadrature
-    d2_prime: Optional[Func1] = None
     cell_potential: Optional[Func1] = None        # integral_{1/2}^r D1/h1
     cell_potential_inv: Optional[Func1] = None
     chem_potential: Optional[Func1] = None        # integral_0^s h2/D2
@@ -82,7 +81,7 @@ class CoefficientSet:
 
     All callables accept and return numpy arrays (broadcasting); scalar
     input yields scalar-like output.  Instances are immutable values and
-    safe to share between workers.
+    safe to share between threads.
     """
 
     name: str
@@ -640,7 +639,6 @@ def _preset_a() -> CoefficientSet:
         d2=lambda s: s + 1.0,
         h1=lambda r: r * (1.0 - r) ** 2,
         h2=lambda s: s + 1.0,
-        d2_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         cell_potential=lambda r: np.log(2.0 * r),       # integral of 1/r from 1/2
         cell_potential_inv=lambda y: 0.5 * np.exp(y),
         chem_potential=lambda s: np.asarray(s, dtype=float) + 0.0,
@@ -673,7 +671,6 @@ def _preset_b() -> CoefficientSet:
         d2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         h1=lambda r: r * (1.0 - r) ** 2,
         h2=lambda s: s + 1.0,
-        d2_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         cell_potential=lambda r: np.log(2.0 * r),
         cell_potential_inv=lambda y: 0.5 * np.exp(y),
         chem_potential=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2 + s,
@@ -708,7 +705,6 @@ def _preset_c() -> CoefficientSet:
         d2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         h1=lambda r: r * (1.0 - r),
         h2=np.exp,
-        d2_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         cell_potential=lambda r: np.log(2.0 * r),
         cell_potential_inv=lambda y: 0.5 * np.exp(y),
         chem_potential=lambda s: np.expm1(s),
@@ -752,7 +748,6 @@ def _preset_logistic() -> CoefficientSet:
         d2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         h1=lambda r: r * (1.0 - r) ** 2,
         h2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        d2_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         cell_potential=logit,
         cell_potential_inv=expit,
         chem_potential=lambda s: np.asarray(s, dtype=float) + 0.0,

@@ -8,8 +8,8 @@ raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -129,27 +129,17 @@ class StudyTable:
     metadata: dict = field(default_factory=dict)
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Map preserving input order; optional thread pool for independent runs."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def eps_convergence_study(u0: np.ndarray, v0: np.ndarray, grid: "Grid1D",
-                          c, cfg, eps_list: Sequence[float],
-                          workers: int = 1) -> StudyTable:
+                          c, cfg, eps_list: Sequence[float]) -> StudyTable:
     """Cauchy differences d(eps) = ||u^eps - u^(eps/2)||_L2 at t_end.
 
     Runs the solver on identical grid and data at every eps in the list and
     at every half value, and tabulates one difference per listed eps.  The
     regularized family is Cauchy as eps decreases, so the column must
-    decrease strictly for the study to pass.
+    decrease strictly for the study to pass.  Every run uses ``cfg`` with
+    only eps replaced.
     """
-    from .pde import SolverConfig, run
+    from .pde import run
 
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
@@ -160,14 +150,10 @@ def eps_convergence_study(u0: np.ndarray, v0: np.ndarray, grid: "Grid1D",
     all_eps = sorted({e for e in eps_list} | {0.5 * e for e in eps_list},
                      reverse=True)
 
-    def run_one(eps: float):
-        cfg_eps = SolverConfig(eps=eps, dt_max=cfg.dt_max, cfl=cfg.cfl,
-                               t_end=cfg.t_end, flux_scheme=cfg.flux_scheme,
-                               v_stepping=cfg.v_stepping)
-        snaps, _ = run(u0, v0, grid, c, cfg_eps, sample_times=())
-        return snaps[-1]
-
-    finals = dict(zip(all_eps, _map_ordered(run_one, all_eps, workers)))
+    finals = {}
+    for eps in all_eps:
+        snaps, _ = run(u0, v0, grid, c, replace(cfg, eps=eps), sample_times=())
+        finals[eps] = snaps[-1]
 
     table = StudyTable("eps-convergence", ("eps", "eps_half", "l2_u", "l2_v"),
                        metadata={"t_end": cfg.t_end, "n_cells": grid.n_cells,

@@ -236,13 +236,6 @@ def _limit_chemo_inflow(u: np.ndarray, diff: np.ndarray, chem: np.ndarray,
     return chem * np.where(chem > 0.0, theta[1:], theta[:-1])
 
 
-def _interface_fluxes(u: np.ndarray, v: np.ndarray, dx: float,
-                      c_eps: CoefficientSet, scheme: str) -> np.ndarray:
-    """Unlimited interface fluxes (diffusive plus chemotactic parts)."""
-    diff, chem = _split_fluxes(u, v, dx, c_eps, scheme)
-    return diff + chem
-
-
 def flux_interface(uL: float, uR: float, vL: float, vR: float, dx: float,
                    c_eps: CoefficientSet, scheme: str = "upwind_chemotaxis") -> float:
     """Single-interface numerical u-flux (sign: flux of u to the right).
@@ -257,8 +250,8 @@ def flux_interface(uL: float, uR: float, vL: float, vR: float, dx: float,
             raise InputError(f"{name}={val} outside [0, 1]")
     if vL < 0 or vR < 0:
         raise InputError("vL, vR must be nonnegative")
-    out = _interface_fluxes(np.array([uL, uR]), np.array([vL, vR]), dx, c_eps, scheme)
-    return float(out[0])
+    diff, chem = _split_fluxes(np.array([uL, uR]), np.array([vL, vR]), dx, c_eps, scheme)
+    return float(diff[0] + chem[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ is slaved to v through the profile map
 which reaches the ceiling u = 1 at the saturation level
 v_sat = chem_potential_inv(cell_potential(1) - lam).  Substituting the
 clamped profile map into the v-equation leaves a scalar second-order ODE
-v'' = stationary_rhs(v), a conservative system with energy
+v'' = rhs(v), a conservative system with energy
 w^2/2 + potential(v).  When the clamped profile map crosses the line
 (beta/gamma) s in the pattern encoded by :func:`find_crossings` (two
 crossings rho_saddle < rho_center below v_sat), the potential has a well at
@@ -83,42 +83,38 @@ def profile_density(p: PhaseParams, s: float) -> float:
     """u as a function of the chemical level on the unsaturated branch."""
     if s > p.v_sat * (1.0 + 1e-13) + 1e-300:
         raise RangeError(f"s={s} above the saturation level v_sat={p.v_sat}")
-    return _density_unclamped(p.coeffs, p.lam, min(s, p.v_sat))
+    return _profile_map(p.coeffs, p.lam, p.v_sat)(s)
 
 
-def _density_unclamped(c: CoefficientSet, lam: float, s: float) -> float:
-    y = co.chem_potential(c, s) + lam
-    top = co.cell_potential_at_one(c)
-    if y >= top:
-        return 1.0
-    return co.cell_potential_inv(c, y)
+def _profile_map(c: CoefficientSet, lam: float, v_sat: float) -> Callable[[float], float]:
+    """The profile map s -> u, equal to the ceiling value 1 at and above v_sat.
 
-
-def profile_density_clamped(p: PhaseParams, s: float) -> float:
-    """The profile map extended by the ceiling value 1 above v_sat."""
-    if s >= p.v_sat:
-        return 1.0
-    return _density_unclamped(p.coeffs, p.lam, s)
-
-
-def _clamped_density_fn(c: CoefficientSet, lam: float, v_sat: float) -> Callable[[float], float]:
+    Closed-form potentials get a branch of their own: the orbit integrator
+    calls the map three times per step, and the generic branch costs about
+    nine times as much per call.
+    """
     sep = c.separable
     if sep is not None and sep.cell_potential_inv is not None and sep.chem_potential is not None:
         inv, pot = sep.cell_potential_inv, sep.chem_potential
 
-        def fast(s: float) -> float:
+        def closed_form(s: float) -> float:
             if s >= v_sat:
                 return 1.0
             return float(inv(float(pot(s)) + lam))
 
-        return fast
+        return closed_form
 
-    def slow(s: float) -> float:
+    top = co.cell_potential_at_one(c)
+
+    def generic(s: float) -> float:
         if s >= v_sat:
             return 1.0
-        return _density_unclamped(c, lam, s)
+        y = co.chem_potential(c, s) + lam
+        if y >= top:
+            return 1.0
+        return co.cell_potential_inv(c, y)
 
-    return slow
+    return generic
 
 
 def find_crossings(c: CoefficientSet, lam: float, gb: Optional[GammaBeta] = None) -> PhaseParams:
@@ -145,7 +141,7 @@ def find_crossings(c: CoefficientSet, lam: float, gb: Optional[GammaBeta] = None
         raise CrossingConditionError(
             "ordering", f"v_sat={v_sat:.6g} must lie below gamma/beta={q:.6g}")
 
-    density = _clamped_density_fn(c, lam, v_sat)
+    density = _profile_map(c, lam, v_sat)
     phi = lambda s: density(s) - s / q
 
     # dense linear scan plus geometric points toward 0: the lower crossing
@@ -189,13 +185,9 @@ def find_crossings(c: CoefficientSet, lam: float, gb: Optional[GammaBeta] = None
 # conservative structure: rhs, potential, energy
 
 
-def stationary_rhs(p: PhaseParams, v: float) -> float:
-    """Right-hand side of the reduced stationary equation v'' = rhs(v)."""
-    return p.gb.beta * v - p.gb.gamma * profile_density_clamped(p, v)
-
-
 def _rhs_fn(p: PhaseParams) -> Callable[[float], float]:
-    density = _clamped_density_fn(p.coeffs, p.lam, p.v_sat)
+    """Right-hand side of the reduced stationary equation v'' = rhs(v)."""
+    density = _profile_map(p.coeffs, p.lam, p.v_sat)
     beta, gamma = p.gb.beta, p.gb.gamma
 
     def rhs(v: float) -> float:
@@ -260,7 +252,7 @@ def hump_energy_margin(p: PhaseParams) -> tuple[bool, float]:
     positive exactly when orbits through energies just under the saddle
     level cross the saturation level.
     """
-    density = _clamped_density_fn(p.coeffs, p.lam, p.v_sat)
+    density = _profile_map(p.coeffs, p.lam, p.v_sat)
     integral, _ = quad(density, p.rho_saddle, p.v_sat, epsabs=1e-10, epsrel=1e-10,
                        limit=200)
     width = p.v_sat - p.rho_saddle
@@ -330,7 +322,7 @@ def integrate_orbit(p: PhaseParams, v0: float, dx: Optional[float] = None,
         raise InputError(f"v0={v0} must lie left of the center {p.rho_center}")
 
     rhs = _rhs_fn(p)
-    period_est = _period_quadrature(p, v0, e0)
+    period_est = orbit_period_oracle(p, v0, e0)
     h = dx if dx is not None else period_est / n_per_period
     max_steps = int(math.ceil(10_000.0 / h))
     # closed orbits stay strictly between the two potential barriers; past
@@ -389,17 +381,56 @@ def integrate_orbit(p: PhaseParams, v0: float, dx: Optional[float] = None,
     return PhaseOrbit(v0=v0, energy=e0, period=2.0 * half, x=x_full, v=v_full, w=w_full)
 
 
-def _period_quadrature(p: PhaseParams, v0: float, e0: Optional[float] = None) -> float:
-    """Period from the turning-point integral
+def _turning_point_integral(rhs: Callable[[float], float], anchor: float, sign: float,
+                            y_end: float, kink: Optional[float]) -> float:
+    """Arc length from the turning point ``anchor`` to anchor + sign * y_end^2,
 
-        P = 2 * integral_{v0}^{v_max} dv / sqrt(2 (E - potential(v))).
+        integral of dv / sqrt(2 (E - potential(v))),   E = potential(anchor).
 
-    Each half is stretched by v = v_turn -+ y^2, which removes the
-    square-root endpoint singularity *and* stays bounded when the turning
-    point is nearly degenerate (orbits close to the ceiling equilibrium
-    linger there; the naive substitution loses digits).  The energy gap is
-    integrated from the nearest turning point so it stays relatively
-    accurate where it is small.
+    The stretch v = anchor + sign * y^2 removes the square-root endpoint
+    singularity *and* stays bounded when the turning point is nearly
+    degenerate (orbits close to the ceiling equilibrium linger there; the
+    naive substitution loses digits).  The energy gap is integrated from the
+    turning point so it stays relatively accurate where it is small.  Both
+    quadratures split at ``kink`` (the derivative kink v_sat) when it lies
+    inside the range.
+    """
+
+    def gap(v: float) -> float:
+        # E - potential(v) as the signed integral of the rhs from the
+        # turning point (quad handles reversed limits)
+        lo, hi = min(anchor, v), max(anchor, v)
+        pts = [kink] if (kink is not None and lo < kink < hi) else None
+        val, _ = quad(rhs, anchor, v, points=pts, epsabs=1e-13, epsrel=1e-11,
+                      limit=100)
+        return val
+
+    def integrand(y: float) -> float:
+        g = gap(anchor + sign * y * y)
+        if g <= 0.0:
+            g = 1e-300
+        return 2.0 * y / math.sqrt(2.0 * g)
+
+    v_end = anchor + sign * y_end ** 2
+    kink_y = None
+    if kink is not None and min(anchor, v_end) < kink < max(anchor, v_end):
+        kink_y = math.sqrt(abs(kink - anchor))
+    with warnings.catch_warnings():
+        # near-degenerate turning points create a sharp but integrable
+        # boundary layer; quad resolves it while warning
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(integrand, 0.0, y_end,
+                      points=[kink_y] if kink_y else None,
+                      epsabs=1e-11, epsrel=1e-10, limit=200)
+    return val
+
+
+def orbit_period_oracle(p: PhaseParams, v0: float, e0: Optional[float] = None) -> float:
+    """Period from the turning-point integral, independent of the integrator:
+
+        P = 2 * integral_{v0}^{v_max} dv / sqrt(2 (E - potential(v))),
+
+    each half from its own turning point up to the midpoint of [v0, v_max].
     """
     if e0 is None:
         e0 = potential(p, v0)
@@ -407,45 +438,9 @@ def _period_quadrature(p: PhaseParams, v0: float, e0: Optional[float] = None) ->
     v_mid = 0.5 * (v0 + v_max)
     rhs = _rhs_fn(p)
     kink = p.v_sat if v0 < p.v_sat < v_max else None
-
-    def gap_from(anchor: float, v: float) -> float:
-        # e0 - potential(v) as the signed integral of the rhs from the
-        # turning point at ``anchor`` (quad handles reversed limits)
-        lo, hi = min(anchor, v), max(anchor, v)
-        pts = [kink] if (kink is not None and lo < kink < hi) else None
-        val, _ = quad(rhs, anchor, v, points=pts, epsabs=1e-13, epsrel=1e-11,
-                      limit=100)
-        return val
-
-    def half_integral(anchor: float, sign: float, y_end: float) -> float:
-        # integral of dv / sqrt(2 gap) over the half, v = anchor + sign y^2
-        kink_y = None
-        if kink is not None and min(anchor, anchor + sign * y_end ** 2) < kink < max(anchor, anchor + sign * y_end ** 2):
-            kink_y = math.sqrt(abs(kink - anchor))
-
-        def integrand(y):
-            g = gap_from(anchor, anchor + sign * y * y)
-            if g <= 0.0:
-                g = 1e-300
-            return 2.0 * y / math.sqrt(2.0 * g)
-
-        val, _ = quad(integrand, 0.0, y_end,
-                      points=[kink_y] if kink_y else None,
-                      epsabs=1e-11, epsrel=1e-10, limit=200)
-        return val
-
-    with warnings.catch_warnings():
-        # near-degenerate turning points create a sharp but integrable
-        # boundary layer; quad resolves it while warning
-        warnings.simplefilter("ignore", IntegrationWarning)
-        left = half_integral(v0, +1.0, math.sqrt(v_mid - v0))
-        right = half_integral(v_max, -1.0, math.sqrt(v_max - v_mid))
+    left = _turning_point_integral(rhs, v0, +1.0, math.sqrt(v_mid - v0), kink)
+    right = _turning_point_integral(rhs, v_max, -1.0, math.sqrt(v_max - v_mid), kink)
     return 2.0 * (left + right)
-
-
-def orbit_period_oracle(p: PhaseParams, v0: float) -> float:
-    """Public alias of the period integral (the independent period check)."""
-    return _period_quadrature(p, v0)
 
 
 def turning_point(p: PhaseParams, v0: float, e0: Optional[float] = None) -> float:
@@ -485,68 +480,87 @@ class StationaryProfile:
         return (self.x1, self.length - self.x1)
 
 
+def _admissible(p: PhaseParams) -> tuple[float, float]:
+    """The admissible energy window; ConstructionError when it is empty."""
+    e_lo, e_hi = energy_window(p).admissible
+    if not e_lo < e_hi:
+        raise ConstructionError(
+            "empty admissible energy window: the mean inequality fails "
+            f"(potential at saturation {e_lo:.6g} >= closed-orbit sup {e_hi:.6g})")
+    return e_lo, e_hi
+
+
+def _v0_at_energy(p: PhaseParams, e: float) -> float:
+    """Left turning point in (rho_saddle, rho_center) of the orbit at energy e."""
+    return brentq(lambda v: potential(p, v) - e,
+                  p.rho_saddle + 1e-13, p.rho_center - 1e-13, xtol=1e-15, rtol=8.9e-16)
+
+
+def _solve_in_window(p: PhaseParams, misfit: Callable[[float], float],
+                     y_bracket: tuple[float, float], xtol: float,
+                     message: Callable[[float, float], str]) -> float:
+    """v0 at a root of misfit(v0), by Brent's method on y = log(1 - frac).
+
+    frac is the position of the orbit energy in the admissible window.  The
+    two ends of ``y_bracket`` are probed once; when the misfit has the same
+    sign at both, ConstructionError carries message(misfit_a, misfit_b).
+    """
+    e_lo, e_hi = _admissible(p)
+
+    def v0_of(y: float) -> float:
+        # frac = -expm1(y)
+        return _v0_at_energy(p, e_lo - math.expm1(y) * (e_hi - e_lo))
+
+    memo: dict[float, float] = {}
+
+    def misfit_y(y: float) -> float:
+        # brentq starts from the two bracket ends, already probed below
+        if y not in memo:
+            memo[y] = misfit(v0_of(y))
+        return memo[y]
+
+    ya, yb = y_bracket
+    ma, mb = misfit_y(ya), misfit_y(yb)
+    if ma * mb > 0:
+        raise ConstructionError(message(ma, mb))
+    return v0_of(brentq(misfit_y, ya, yb, xtol=xtol))
+
+
 def default_v0(p: PhaseParams, fraction: float = 0.5) -> float:
     """Left turning point at the midpoint of the admissible energy window.
 
-    Bisects potential(v0) = E_sat + fraction * (E_sup - E_sat) on
+    Solves potential(v0) = E_sat + fraction * (E_sup - E_sat) on
     (rho_saddle, rho_center), where (E_sat, E_sup) is the window of energies
     whose orbits both close and cross the saturation level.
     """
     if not 0.0 < fraction < 1.0:
         raise InputError("fraction must lie in (0, 1)")
-    window = energy_window(p)
-    e_lo, e_hi = window.admissible
-    if not e_lo < e_hi:
-        raise ConstructionError(
-            "empty admissible energy window: the mean inequality fails "
-            f"(potential at saturation {e_lo:.6g} >= closed-orbit sup {e_hi:.6g})")
-    target = e_lo + fraction * (e_hi - e_lo)
-    fn = lambda v: potential(p, v) - target
-    a = p.rho_saddle + 1e-13 * max(1.0, abs(p.rho_saddle))
-    b = p.rho_center - 1e-13 * max(1.0, abs(p.rho_center))
-    return brentq(fn, a, b, xtol=1e-14, rtol=8.9e-16)
+    e_lo, e_hi = _admissible(p)
+    return _v0_at_energy(p, e_lo + fraction * (e_hi - e_lo))
 
 
 def v0_for_length(p: PhaseParams, length: float, tol: float = 1e-10) -> float:
     """Find v0 whose orbit period matches a requested domain length.
 
-    The period grows monotonically toward the saddle; bisection on the
-    period integral.  Raises ConstructionError when the requested length is
-    below the shortest admissible period.
+    The period grows monotonically toward the top of the energy window;
+    Brent's method on the period integral.  Raises ConstructionError when
+    the requested length is below the shortest plateau-reaching period or
+    beyond the reach of the window.
     """
-    window = energy_window(p)
-    e_lo, e_hi = window.admissible
+    if not math.isfinite(length):
+        raise InputError(f"requested length {length} is not a finite number")
 
-    def v_of_energy(e):
-        fn = lambda v: potential(p, v) - e
-        return brentq(fn, p.rho_saddle + 1e-13, p.rho_center - 1e-13,
-                      xtol=1e-14, rtol=8.9e-16)
+    def message(low: float, high: float) -> str:
+        if low > 0:
+            return (f"requested length {length} below the shortest plateau-reaching "
+                    f"period {length + low:.6g}")
+        return f"cannot reach length {length}: period saturates"
 
-    lo_frac, hi_frac = 1e-6, 1.0 - 1e-9
-    p_low = _period_quadrature(p, v_of_energy(e_lo + lo_frac * (e_hi - e_lo)))
-    if length < p_low:
-        raise ConstructionError(
-            f"requested length {length} below the shortest plateau-reaching period {p_low:.6g}")
-
-    def period_of(frac):
-        return _period_quadrature(p, v_of_energy(e_lo + frac * (e_hi - e_lo)))
-
-    lo, hi = lo_frac, hi_frac
-    while period_of(hi) < length:
-        hi = 1.0 - 0.1 * (1.0 - hi)
-        if 1.0 - hi < 1e-12:
-            raise ConstructionError(f"cannot reach length {length}: period saturates")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if period_of(mid) < length:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    frac = 0.5 * (lo + hi)
-    v0 = v_of_energy(e_lo + frac * (e_hi - e_lo))
-    if abs(_period_quadrature(p, v0) - length) > max(tol, 1e-8 * length):
+    # energy fractions from 1e-6 to 1 - 1e-12; the period is smooth and
+    # monotone in y, and xtol 1e-14 in y keeps it inside the closing check
+    v0 = _solve_in_window(p, lambda v: orbit_period_oracle(p, v) - length,
+                          (math.log1p(-1e-6), math.log(1e-12)), 1e-14, message)
+    if abs(orbit_period_oracle(p, v0) - length) > max(tol, 1e-8 * length):
         raise ConstructionError("period matching did not converge to the requested length")
     return v0
 
@@ -554,27 +568,14 @@ def v0_for_length(p: PhaseParams, length: float, tol: float = 1e-10) -> float:
 def edge_position(p: PhaseParams, v0: float, e0: Optional[float] = None) -> float:
     """x1: arc length from the left turning point to the saturation level.
 
-    Same turning-point-regularized quadrature as the period integral,
-    stopped at v_sat instead of the far turning point.
+    The turning-point quadrature of the period integral, stopped at v_sat
+    instead of the far turning point.
     """
     if e0 is None:
         e0 = potential(p, v0)
     if not e0 > potential(p, p.v_sat):
         raise InputError("orbit does not reach the saturation level")
-    rhs = _rhs_fn(p)
-
-    def gap(v: float) -> float:
-        val, _ = quad(rhs, v0, v, epsabs=1e-13, epsrel=1e-11, limit=100)
-        return val if val > 0 else 1e-300
-
-    def integrand(y):
-        return 2.0 * y / math.sqrt(2.0 * gap(v0 + y * y))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, math.sqrt(p.v_sat - v0),
-                      epsabs=1e-11, epsrel=1e-10, limit=200)
-    return val
+    return _turning_point_integral(_rhs_fn(p), v0, +1.0, math.sqrt(p.v_sat - v0), None)
 
 
 def _spline_gap(x: float, spline: CubicHermiteSpline, level: float) -> float:
@@ -616,21 +617,10 @@ def v0_for_edge_alignment(p: PhaseParams, n_cells: int, edge_index: int,
     root is not better than that; on the canonical setup the solve takes
     about 15 orbit integrations.
     """
-    window = energy_window(p)
-    e_lo, e_hi = window.admissible
-
-    def v0_of(y: float) -> float:
-        frac = -math.expm1(y)
-        target = e_lo + frac * (e_hi - e_lo)
-        return brentq(lambda v: potential(p, v) - target,
-                      p.rho_saddle + 1e-13, p.rho_center - 1e-13,
-                      xtol=1e-15, rtol=8.9e-16)
-
-    def edge_misfit(y: float) -> float:
-        v0 = v0_of(y)
+    def edge_misfit(v0: float) -> float:
         if not use_orbit:
             e0 = potential(p, v0)
-            return edge_position(p, v0, e0) * n_cells / _period_quadrature(p, v0, e0) - edge_index
+            return edge_position(p, v0, e0) * n_cells / orbit_period_oracle(p, v0, e0) - edge_index
         try:
             orbit = integrate_orbit(p, v0)
         except (ConstructionError, InputError):
@@ -641,21 +631,11 @@ def v0_for_edge_alignment(p: PhaseParams, n_cells: int, edge_index: int,
                     xtol=1e-12)
         return x1 * n_cells / orbit.period - edge_index
 
-    memo: dict[float, float] = {}
+    def message(ma: float, mb: float) -> str:
+        return (f"edge index {edge_index} not bracketed: misfit ({ma:.3g}, {mb:.3g}); "
+                "the index corresponds to a period outside the admissible window")
 
-    def misfit(y: float) -> float:
-        # brentq starts from the two bracket ends, already probed below
-        if y not in memo:
-            memo[y] = edge_misfit(y)
-        return memo[y]
-
-    ya, yb = EDGE_ALIGN_Y_BRACKET
-    ma, mb = misfit(ya), misfit(yb)
-    if ma * mb > 0:
-        raise ConstructionError(
-            f"edge index {edge_index} not bracketed: misfit ({ma:.3g}, {mb:.3g}); "
-            "the index corresponds to a period outside the admissible window")
-    return v0_of(brentq(misfit, ya, yb, xtol=EDGE_ALIGN_XTOL))
+    return _solve_in_window(p, edge_misfit, EDGE_ALIGN_Y_BRACKET, EDGE_ALIGN_XTOL, message)
 
 
 def construct_flat_hump(p: PhaseParams, v0: Optional[float] = None,
@@ -695,7 +675,7 @@ def construct_flat_hump(p: PhaseParams, v0: Optional[float] = None,
     x = grid.centers
     v = np.asarray(spline(x), dtype=float)
     u = np.empty_like(v)
-    density = _clamped_density_fn(p.coeffs, p.lam, p.v_sat)
+    density = _profile_map(p.coeffs, p.lam, p.v_sat)
     inside = (x >= x1) & (x <= length - x1)
     u[inside] = 1.0
     u[~inside] = [density(s) for s in v[~inside]]
@@ -778,7 +758,7 @@ def lambda_window_from_tangency(c: CoefficientSet, gb: GammaBeta,
 
     # one-sided slope of the profile map at the tangency level
     s_probe = q * (1.0 - 1e-7)
-    u_probe = _density_unclamped(c, lam_base, s_probe)
+    u_probe = _profile_map(c, lam_base, q)(s_probe)
     slope = co.chem_potential_slope(c, s_probe) / co.cell_potential_slope(c, u_probe)
     if not slope > q:
         raise StructuralError(

@@ -151,6 +151,16 @@ stationary.lambda = -2.0
                          "--out", str(tmp_path / "o")]) == 5
 
 
+def run_cli_process(command, cfg_path, out):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "flathump.cli", command, "--config", cfg_path, "--out", out],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("command, key, spec", [
     ("simulate", "initial.u", "constant:abc"),
     ("simulate", "initial.u", "random:abc"),
@@ -161,16 +171,18 @@ def test_malformed_number_in_spec_exits_2(tmp_path, command, key, spec):
     # the appended line overrides the base config's value for the key
     base = SIM_CFG if command == "simulate" else STAT_CFG
     cfg_path = write_cfg(tmp_path, "bad.cfg", f"{base}\n{key} = {spec}\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "flathump.cli", command, "--config", cfg_path,
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = run_cli_process(command, cfg_path, str(tmp_path / "o"))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert key in proc.stderr
+
+
+def test_non_finite_length_exits_2(tmp_path):
+    cfg_path = write_cfg(tmp_path, "nan.cfg", f"{STAT_CFG}\nstationary.v0 = length:nan\n")
+    proc = run_cli_process("stationary", cfg_path, str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "nan" in proc.stderr
 
 
 class TestVerifyAndSweep:

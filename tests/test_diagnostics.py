@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,16 +137,27 @@ class TestEpsStudy:
         slope = np.polyfit(np.log(eps), np.log(diffs), 1)[0]
         assert 0.8 <= slope <= 1.2
 
-    def test_worker_pool_matches_serial(self, preset_a):
-        grid = pde.Grid1D(64, 5.0)
+    def test_runs_copy_the_config_with_only_eps_replaced(self, preset_a, monkeypatch):
+        # every field but eps reaches the solver unchanged, non-default
+        # values included
+        grid = pde.Grid1D(32, 4.0)
         u0 = pde.profile_bump(grid)
         v0 = pde.profile_constant(grid, 0.5)
-        cfg = pde.SolverConfig(t_end=0.1)
-        serial = dg.eps_convergence_study(u0, v0, grid, preset_a, cfg,
-                                          [1e-1, 5e-2, 2.5e-2])
-        pooled = dg.eps_convergence_study(u0, v0, grid, preset_a, cfg,
-                                          [1e-1, 5e-2, 2.5e-2], workers=2)
-        assert [r.values for r in serial.rows] == [r.values for r in pooled.rows]
+        cfg = pde.SolverConfig(eps=0.3, dt_max=5e-3, cfl=0.3, t_end=0.02,
+                               flux_scheme="central", v_stepping="explicit",
+                               abort_on_violation=False, debug_boundary_leak=1e-3)
+        seen = []
+        real_run = pde.run
+
+        def capture(u, v, g, c, run_cfg, **kwargs):
+            seen.append(run_cfg)
+            return real_run(u, v, g, c, run_cfg, **kwargs)
+
+        monkeypatch.setattr(pde, "run", capture)
+        eps_list = [1e-1, 5e-2, 2.5e-2]
+        dg.eps_convergence_study(u0, v0, grid, preset_a, cfg, eps_list)
+        all_eps = sorted(set(eps_list) | {0.5 * e for e in eps_list}, reverse=True)
+        assert seen == [replace(cfg, eps=e) for e in all_eps]
 
 
 class TestDependenceStudy:

@@ -21,7 +21,7 @@ class TestProfileMap:
     def test_saturates_exactly_at_v_sat(self, canonical_params):
         p = canonical_params
         assert st.profile_density(p, p.v_sat) == pytest.approx(1.0, abs=1e-12)
-        assert st.profile_density_clamped(p, p.v_sat + 1.0) == 1.0
+        assert st._profile_map(p.coeffs, p.lam, p.v_sat)(p.v_sat + 1.0) == 1.0
 
     def test_closed_form_composition(self, canonical_params):
         # for the closing example the map is (1/2) exp(e^s - 1 + lam);
@@ -42,8 +42,9 @@ class TestProfileMap:
 class TestFindCrossings:
     def test_crossings_are_fixed_points(self, canonical_params):
         p = canonical_params
+        density = st._profile_map(p.coeffs, p.lam, p.v_sat)
         for rho in (p.rho_saddle, p.rho_center):
-            assert st.profile_density_clamped(p, rho) - rho / p.q == pytest.approx(0.0, abs=1e-10)
+            assert density(rho) - rho / p.q == pytest.approx(0.0, abs=1e-10)
 
     def test_ordering(self, canonical_params):
         p = canonical_params
@@ -75,8 +76,9 @@ class TestFindCrossings:
 class TestPotential:
     def test_rhs_vanishes_at_crossings(self, canonical_params):
         p = canonical_params
-        assert st.stationary_rhs(p, p.rho_saddle) == pytest.approx(0.0, abs=1e-9)
-        assert st.stationary_rhs(p, p.rho_center) == pytest.approx(0.0, abs=1e-9)
+        rhs = st._rhs_fn(p)
+        assert rhs(p.rho_saddle) == pytest.approx(0.0, abs=1e-9)
+        assert rhs(p.rho_center) == pytest.approx(0.0, abs=1e-9)
 
     def test_anchored_at_center(self, canonical_params):
         assert st.potential(canonical_params, canonical_params.rho_center) == 0.0
@@ -270,6 +272,34 @@ class TestV0Selection:
     def test_too_short_length_rejected(self, canonical_params):
         with pytest.raises(ConstructionError):
             st.v0_for_length(canonical_params, 1e-3)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length_rejected(self, canonical_params, length):
+        with pytest.raises(InputError):
+            st.v0_for_length(canonical_params, length)
+
+    def test_length_matching_quadrature_count(self, canonical_params, monkeypatch):
+        # Brent's method on log(1 - energy fraction): two bracket ends, the
+        # iterations and the closing check, where bisection took 50
+        oracle = st.orbit_period_oracle
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(st, "orbit_period_oracle", counting)
+        v0 = st.v0_for_length(canonical_params, 12.0)
+        assert len(calls) <= 40
+        assert oracle(canonical_params, v0) == pytest.approx(12.0, abs=1e-8)
+
+    def test_edge_position_matches_the_orbit(self, canonical_params):
+        # the turning-point quadrature stopped at v_sat against the first
+        # crossing of v_sat on the integrated orbit
+        p = canonical_params
+        v0 = st.default_v0(p)
+        prof = st.construct_flat_hump(p, v0, 256)
+        assert st.edge_position(p, v0) == pytest.approx(prof.x1, rel=1e-9)
 
     def test_edge_alignment(self, canonical_params):
         v0 = st.v0_for_edge_alignment(canonical_params, 1024, 16)
