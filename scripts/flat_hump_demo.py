@@ -12,8 +12,6 @@ import argparse
 import os
 import time
 
-import numpy as np
-
 from flathump import coefficients as co
 from flathump import pde, reporting
 from flathump import stationary as st
@@ -38,7 +36,7 @@ def main():
           f"v_sat = {p.v_sat:.6f}")
     print(f"energy margin: holds = {holds}, potential gap = {margin:.6f}")
 
-    v0 = st.v0_for_edge_alignment(p, 1024, 16, use_orbit=True)
+    v0 = st.v0_for_edge_alignment(p, 1024, 16)
     profile = st.construct_flat_hump(p, v0, args.grid_n)
     print(f"profile: l = {profile.length:.6f}, x1 = {profile.x1:.6f}, "
           f"u_min = {profile.u.min():.6f}")
@@ -48,15 +46,8 @@ def main():
     reporting.write_snapshot(os.path.join(args.out, "profile.csv"),
                              profile.grid.centers, profile.u, profile.v,
                              t=0.0, eps=0.0, preset=c.name, n_cells=args.grid_n)
-    orbit = profile.orbit
-    stride = max(1, orbit.v.size // 2048)
-    energies = np.array([st.energy(p, orbit.v[i], orbit.w[i])
-                         for i in range(0, orbit.v.size, stride)])
-    reporting.write_columns(os.path.join(args.out, "phase_portrait.csv"),
-                            ("x", "v", "w", "energy"),
-                            (orbit.x[::stride], orbit.v[::stride],
-                             orbit.w[::stride], energies),
-                            metadata={"v0": v0, "period": orbit.period})
+    reporting.write_phase_portrait(os.path.join(args.out, "phase_portrait.csv"), p,
+                                   profile.orbit)
 
     cfg = pde.SolverConfig(eps=0.0, t_end=args.t_check, dt_max=1e-2, cfl=0.45)
     t0 = time.time()

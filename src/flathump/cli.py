@@ -274,7 +274,7 @@ def _resolve_v0(cfg: Config, params: st.PhaseParams) -> float:
     if kind == "align":
         n_str, _, idx_str = arg.partition(":")
         return st.v0_for_edge_alignment(params, _spec_number(int, n_str, key, spec),
-                                        _spec_number(int, idx_str, key, spec), use_orbit=True)
+                                        _spec_number(int, idx_str, key, spec))
     try:
         return float(spec)
     except ValueError:
@@ -293,20 +293,13 @@ def cmd_stationary(cfg: Config) -> int:
         return EXIT_STRUCTURAL
     v0 = _resolve_v0(cfg, params)
     profile = st.construct_flat_hump(params, v0, cfg.stationary_grid_n)
-    orbit = profile.orbit
 
     out = cfg.out_dir
     reporting.write_snapshot(os.path.join(out, "profile.csv"),
                              profile.grid.centers, profile.u, profile.v,
                              t=0.0, eps=0.0, preset=c.name, n_cells=cfg.stationary_grid_n)
-    stride = max(1, orbit.v.size // 2048)
-    e_samples = np.array([st.energy(params, orbit.v[i], orbit.w[i])
-                          for i in range(0, orbit.v.size, stride)])
-    reporting.write_columns(os.path.join(out, "phase_portrait.csv"),
-                            ("x", "v", "w", "energy"),
-                            (orbit.x[::stride], orbit.v[::stride], orbit.w[::stride],
-                             e_samples),
-                            metadata={"v0": v0, "period": orbit.period})
+    reporting.write_phase_portrait(os.path.join(out, "phase_portrait.csv"), params,
+                                   profile.orbit)
     reporting.write_key_values(
         os.path.join(out, "parameters.csv"),
         [("lambda", profile.lam), ("v_sat", params.v_sat),
@@ -373,7 +366,7 @@ def cmd_verify(cfg: Config) -> int:
         _, (lo, hi) = st.lambda_interval_from_slopes(c3, c3.linear_reaction)
         params = st.find_crossings(c3, lo + 0.035 * (hi - lo))
         n_prof = _get_int(cfg.raw, "verify.stationary_n", 1024, minimum=64)
-        v0s = st.v0_for_edge_alignment(params, 1024, 16, use_orbit=True)
+        v0s = st.v0_for_edge_alignment(params, 1024, 16)
         profile = st.construct_flat_hump(params, v0s, n_prof)
         drift_cfg = replace(run_cfg, eps=0.0, t_end=0.5)
         drift = st.stationarity_drift(profile, drift_cfg, t_check=0.5)

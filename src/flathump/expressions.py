@@ -4,7 +4,8 @@ Accepted syntax: the binary operators ``+ - * / ^`` (``^`` means power,
 ``**`` also works), unary minus, the functions ``exp`` and ``log``, numeric
 literals, and the variables ``r`` and ``s``.  Compiled callables broadcast
 over numpy arrays.  Anything outside this grammar is rejected, so config
-files cannot execute arbitrary code.
+files cannot execute arbitrary code.  Literals compile as floats (an integer
+exponent stays exact), so ``9^9^9`` overflows instead of growing without bound.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ def _validate(node: ast.AST, text: str) -> None:
         if not isinstance(node.op, _ALLOWED_BINOPS):
             raise InputError(f"operator not allowed in {text!r}")
         _validate(node.left, text)
-        _validate(node.right, text)
+        # an int exponent stays exact: numpy computes x ** 2 twice as fast as x ** 2.0
+        if not (isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant)
+                and type(node.right.value) is int):
+            _validate(node.right, text)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise InputError(f"unary operator not allowed in {text!r}")
@@ -45,6 +49,7 @@ def _validate(node: ast.AST, text: str) -> None:
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise InputError(f"non-numeric constant in {text!r}")
+        node.value = float(node.value)
     else:
         raise InputError(f"unsupported syntax in {text!r}")
 
@@ -56,9 +61,16 @@ def parse_expression(text: str) -> Callable[..., np.ndarray]:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise InputError(f"cannot parse expression {text!r}: {exc.msg}") from None
-    _validate(tree, text)
-    code = compile(tree, "<coefficient>", "eval")
     env = {"__builtins__": {}, **_ALLOWED_FUNCS}
+    try:
+        _validate(tree, text)
+        code = compile(tree, "<coefficient>", "eval")
+        # numpy arguments cannot raise, so this fails only on a literal too
+        # large for a float or a constant sub-expression such as 9^9^9 or 1/0
+        with np.errstate(all="ignore"):
+            eval(code, env, {"r": np.float64(0.5), "s": np.float64(0.5)})  # noqa: S307
+    except ArithmeticError as exc:
+        raise InputError(f"cannot evaluate expression {text!r}: {exc}") from None
 
     def func(r, s):
         out = eval(code, env, {"r": r, "s": s})  # noqa: S307 - AST whitelisted above

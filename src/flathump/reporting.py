@@ -12,6 +12,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import stationary
+
 
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -58,6 +60,17 @@ def write_snapshot(path: str, x: np.ndarray, u: np.ndarray, v: np.ndarray, *,
     """Solution snapshot: columns x, u, v with the run metadata line."""
     write_columns(path, ("x", "u", "v"), (x, u, v),
                   metadata={"t": t, "eps": eps, "preset": preset, "n_cells": n_cells})
+
+
+def write_phase_portrait(path: str, params: stationary.PhaseParams,
+                         orbit: stationary.PhaseOrbit) -> None:
+    """About 2,048 samples of a phase orbit: columns x, v, w and energy."""
+    stride = max(1, orbit.v.size // 2048)
+    energies = np.array([stationary.energy(params, orbit.v[i], orbit.w[i])
+                         for i in range(0, orbit.v.size, stride)])
+    write_columns(path, ("x", "v", "w", "energy"),
+                  (orbit.x[::stride], orbit.v[::stride], orbit.w[::stride], energies),
+                  metadata={"v0": orbit.v0, "period": orbit.period})
 
 
 def write_study(path: str, table) -> None:

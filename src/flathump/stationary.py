@@ -267,6 +267,8 @@ def hump_energy_margin(p: PhaseParams) -> tuple[bool, float]:
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 _YOSHIDA = (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1)
+# integration steps per orbit period: the step is h = period / ORBIT_STEPS
+ORBIT_STEPS = 100_000
 
 
 @dataclass
@@ -279,10 +281,7 @@ class PhaseOrbit:
     x: np.ndarray
     v: np.ndarray
     w: np.ndarray
-
-    def spline(self) -> CubicHermiteSpline:
-        """Hermite interpolant of v(x) (with exact derivatives w)."""
-        return CubicHermiteSpline(self.x, self.v, self.w)
+    x1: Optional[float]       # first crossing of v_sat; None if the orbit turns below it
 
 
 def _composed_step(rhs: Callable[[float], float], v: float, w: float, a: float,
@@ -301,16 +300,16 @@ def _composed_step(rhs: Callable[[float], float], v: float, w: float, a: float,
     return v, w, a
 
 
-def integrate_orbit(p: PhaseParams, v0: float, dx: Optional[float] = None,
-                    n_per_period: int = 100_000) -> PhaseOrbit:
+def integrate_orbit(p: PhaseParams, v0: float) -> PhaseOrbit:
     """Integrate one closed orbit starting at the left turning point (v0, 0).
 
     Requires potential(v0) inside the closed-orbit energy window and
-    v0 < rho_center.  The stepper is a symmetric 4th-order composition of
-    velocity-Verlet stages, so the sampled energy stays flat to well below
-    the 1e-9-per-unit-length budget at the default resolution.  The half
-    period ends where w returns to zero (located by bisection on partial
-    steps); the second half is the mirror image.
+    rho_saddle < v0 < rho_center, where the rise is monotone.  The rise is
+    integrated by a symmetric 4th-order composition of velocity-Verlet
+    stages up to the first event, v = v_sat or w = 0, located by bisection
+    on the step fraction.  The plateau above v_sat is filled in closed form
+    on the same lattice (see :func:`_plateau_half`), so no step crosses the
+    rhs kink.  The second half is the mirror image.
     """
     window = energy_window(p)
     e0 = potential(p, v0)
@@ -318,67 +317,85 @@ def integrate_orbit(p: PhaseParams, v0: float, dx: Optional[float] = None,
         raise InputError(
             f"potential(v0)={e0:.6g} outside the closed-orbit window "
             f"(0, {window.closed_orbit_sup:.6g})")
-    if not v0 < p.rho_center:
-        raise InputError(f"v0={v0} must lie left of the center {p.rho_center}")
+    if not p.rho_saddle < v0 < p.rho_center:
+        raise InputError(f"v0={v0} must lie between rho_saddle and rho_center")
 
     rhs = _rhs_fn(p)
-    period_est = orbit_period_oracle(p, v0, e0)
-    h = dx if dx is not None else period_est / n_per_period
-    max_steps = int(math.ceil(10_000.0 / h))
-    # closed orbits stay strictly between the two potential barriers; past
-    # either one the trajectory is unbounded (energy error put it over)
-    v_ceiling = p.q + 1e-9 * max(1.0, p.q)
-    v_floor = p.rho_saddle - 1e-9 * max(1.0, abs(p.rho_saddle))
+    h = orbit_period_oracle(p, v0, e0) / ORBIT_STEPS
 
-    vs = [v0]
-    ws = [0.0]
-    v, w = v0, 0.0
-    a = rhs(v)
-    n = 0
-    while n < max_steps:
+    def before_event(v: float, w: float) -> bool:
+        return v < p.v_sat and w > 0.0
+
+    vs, ws = [v0], [0.0]
+    v, w, a = v0, 0.0, rhs(v0)
+    for _ in range(ORBIT_STEPS):
         v_n, w_n, a_n = _composed_step(rhs, v, w, a, h)
-        n += 1
-        if w_n <= 0.0 and n > 1:
+        if not before_event(v_n, w_n):
             break
-        if not (v_floor <= v_n <= v_ceiling):
-            raise ConstructionError(
-                f"orbit from v0={v0} escaped the potential well at v={v_n:.6g} "
-                "(energy at or above a barrier level)")
         v, w, a = v_n, w_n, a_n
         vs.append(v)
         ws.append(w)
     else:
         raise ConstructionError(
-            f"orbit from v0={v0} did not return to w=0 within x={10_000}")
+            f"orbit from v0={v0} met neither v_sat nor a turning point within one period")
 
-    # locate the turning point by bisection on the step fraction
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        _, w_m, _ = _composed_step(rhs, v, w, a, mid * h)
-        if w_m > 0.0:
+        v_m, w_m, _ = _composed_step(rhs, v, w, a, mid * h)
+        if before_event(v_m, w_m):
             lo = mid
         else:
             hi = mid
     frac = 0.5 * (lo + hi)
-    v_end, w_end, _ = _composed_step(rhs, v, w, a, frac * h)
-    half = (len(vs) - 1) * h + frac * h
+    x_rise = np.arange(len(vs)) * h
+    x_event = (len(vs) - 1) * h + frac * h
+    if x_event - x_rise[-1] < 1e-9 * h:
+        # the event landed on a grid sample; drop the duplicate abscissa
+        x_rise, vs, ws = x_rise[:-1], vs[:-1], ws[:-1]
 
-    x_half = np.append(np.arange(len(vs)) * h, half)
-    v_half = np.append(np.array(vs), v_end)
-    w_half = np.append(np.array(ws), w_end)
-    w_half[-1] = 0.0
-    if x_half.size > 1 and x_half[-1] - x_half[-2] < 1e-9 * h:
-        # turning point landed on a grid sample; drop the duplicate abscissa
-        x_half = np.delete(x_half, -2)
-        v_half = np.delete(v_half, -2)
-        w_half = np.delete(w_half, -2)
+    if v_n < p.v_sat:           # turning point below the saturation level
+        x1, half = None, x_event
+        x_top, v_top, w_top = [half], [_composed_step(rhs, v, w, a, frac * h)[0]], [0.0]
+    else:
+        x1, plateau_half = x_event, _plateau_half(p, v0)
+        half = x1 + plateau_half
+        lattice = np.arange(len(vs), int(half / h) + 1) * h
+        lattice = lattice[(lattice > x1 + 1e-9 * h) & (lattice < half - 1e-9 * h)]
+        x_top = np.concatenate([[x1], lattice, [half]])
+        # v = q - A cosh(sqrt(beta) (l/2 - x)), equal to v_sat at x1
+        root_beta = math.sqrt(p.gb.beta)
+        amp = (p.q - p.v_sat) / math.cosh(root_beta * plateau_half)
+        arg = root_beta * (half - x_top)
+        v_top = p.q - amp * np.cosh(arg)
+        w_top = amp * root_beta * np.sinh(arg)
 
+    x_half = np.concatenate([x_rise, x_top])
+    v_half = np.concatenate([vs, v_top])
+    w_half = np.concatenate([ws, w_top])
     # mirror to the full period
     x_full = np.concatenate([x_half, 2.0 * half - x_half[-2::-1]])
     v_full = np.concatenate([v_half, v_half[-2::-1]])
     w_full = np.concatenate([w_half, -w_half[-2::-1]])
-    return PhaseOrbit(v0=v0, energy=e0, period=2.0 * half, x=x_full, v=v_full, w=w_full)
+    return PhaseOrbit(v0, e0, 2.0 * half, x_full, v_full, w_full, x1)
+
+
+def _plateau_half(p: PhaseParams, v0: float) -> float:
+    """Arc length from v_sat to the top of the orbit from v0, in closed form.
+
+    Above v_sat, v'' = beta (v - q), so v = q - sqrt(2 delta / beta)
+    cosh(sqrt(beta) (x - l/2)) with delta = potential(q) - potential(v0).
+    delta is the closed-form potential rise from v_sat to q minus one
+    quadrature of the rhs from v0 to v_sat, a range with no kink, so it
+    stays well conditioned as delta -> 0.
+    """
+    beta, gap = p.gb.beta, p.q - p.v_sat
+    rise, _ = quad(_rhs_fn(p), v0, p.v_sat, epsabs=1e-14, epsrel=1e-13, limit=100)
+    delta = 0.5 * beta * gap * gap - rise
+    if not delta > 0.0:
+        raise ConstructionError(
+            f"orbit from v0={v0} reaches the ceiling barrier (energy gap {delta:.3g})")
+    return math.acosh(max(1.0, gap / math.sqrt(2.0 * delta / beta))) / math.sqrt(beta)
 
 
 def _turning_point_integral(rhs: Callable[[float], float], anchor: float, sign: float,
@@ -475,10 +492,6 @@ class StationaryProfile:
     residual_v: float = math.nan
     orbit: Optional[PhaseOrbit] = None
 
-    @property
-    def plateau(self) -> tuple[float, float]:
-        return (self.x1, self.length - self.x1)
-
 
 def _admissible(p: PhaseParams) -> tuple[float, float]:
     """The admissible energy window; ConstructionError when it is empty."""
@@ -543,9 +556,9 @@ def v0_for_length(p: PhaseParams, length: float, tol: float = 1e-10) -> float:
     """Find v0 whose orbit period matches a requested domain length.
 
     The period grows monotonically toward the top of the energy window;
-    Brent's method on the period integral.  Raises ConstructionError when
-    the requested length is below the shortest plateau-reaching period or
-    beyond the reach of the window.
+    Brent's method on the period of :func:`_edge_and_period`.  Raises
+    ConstructionError when the requested length is below the shortest
+    plateau-reaching period or beyond the reach of the window.
     """
     if not math.isfinite(length):
         raise InputError(f"requested length {length} is not a finite number")
@@ -558,31 +571,28 @@ def v0_for_length(p: PhaseParams, length: float, tol: float = 1e-10) -> float:
 
     # energy fractions from 1e-6 to 1 - 1e-12; the period is smooth and
     # monotone in y, and xtol 1e-14 in y keeps it inside the closing check
-    v0 = _solve_in_window(p, lambda v: orbit_period_oracle(p, v) - length,
+    v0 = _solve_in_window(p, lambda v: _edge_and_period(p, v)[1] - length,
                           (math.log1p(-1e-6), math.log(1e-12)), 1e-14, message)
-    if abs(orbit_period_oracle(p, v0) - length) > max(tol, 1e-8 * length):
+    if abs(_edge_and_period(p, v0)[1] - length) > max(tol, 1e-8 * length):
         raise ConstructionError("period matching did not converge to the requested length")
     return v0
 
 
-def edge_position(p: PhaseParams, v0: float, e0: Optional[float] = None) -> float:
+def edge_position(p: PhaseParams, v0: float) -> float:
     """x1: arc length from the left turning point to the saturation level.
 
     The turning-point quadrature of the period integral, stopped at v_sat
     instead of the far turning point.
     """
-    if e0 is None:
-        e0 = potential(p, v0)
-    if not e0 > potential(p, p.v_sat):
+    if not potential(p, v0) > potential(p, p.v_sat):
         raise InputError("orbit does not reach the saturation level")
     return _turning_point_integral(_rhs_fn(p), v0, +1.0, math.sqrt(p.v_sat - v0), None)
 
 
-def _spline_gap(x: float, spline: CubicHermiteSpline, level: float) -> float:
-    # a module-level root function with the spline passed through brentq's
-    # args: brentq's wrapper sits in a reference cycle, and a closure over
-    # the spline would keep it alive until a full garbage collection
-    return float(spline(x)) - level
+def _edge_and_period(p: PhaseParams, v0: float) -> tuple[float, float]:
+    """(x1, period) of the orbit from v0; both v0 searches solve against it."""
+    x1 = edge_position(p, v0)
+    return x1, 2.0 * (x1 + _plateau_half(p, v0))
 
 
 # Edge alignment searches y = log(1 - frac), frac the position in the
@@ -592,8 +602,7 @@ def _spline_gap(x: float, spline: CubicHermiteSpline, level: float) -> float:
 # frac = 0.99 and by 1.6 near the root at frac = 1 - 2.8e-6.
 EDGE_ALIGN_Y_BRACKET = (math.log(0.05), math.log(1e-8))
 # 1e-9 in y is about 1e-9 cells of edge (1.6 cells per decade is 0.7 per
-# unit of y), far below the +-2e-6-cell resolution floor of the
-# orbit-measured misfit
+# unit of y)
 EDGE_ALIGN_XTOL = 1e-9
 
 
@@ -609,27 +618,12 @@ def v0_for_edge_alignment(p: PhaseParams, n_cells: int, edge_index: int,
     relaxation drift of the time-dependent solver) see clean first-order
     scaling instead of the pseudo-random kink-to-cell offset.
 
-    ``use_orbit`` measures x1 and the period on the discrete orbit that
-    :func:`construct_flat_hump` will actually use; near the top of the
-    energy window the period is sensitive enough that the quadrature and
-    the integrator disagree by a visible fraction of a cell.  The
-    orbit-measured misfit is only resolved to about 2e-6 cells, so the
-    root is not better than that; on the canonical setup the solve takes
-    about 15 orbit integrations.
+    ``use_orbit`` is ignored: x1 and the period come from
+    :func:`_edge_and_period`, which the orbit of construct_flat_hump matches.
     """
     def edge_misfit(v0: float) -> float:
-        if not use_orbit:
-            e0 = potential(p, v0)
-            return edge_position(p, v0, e0) * n_cells / orbit_period_oracle(p, v0, e0) - edge_index
-        try:
-            orbit = integrate_orbit(p, v0)
-        except (ConstructionError, InputError):
-            # escaped or out-of-window probe: infinite period, so the
-            # edge index per cell count is effectively zero
-            return -float(edge_index)
-        x1 = brentq(_spline_gap, 0.0, 0.5 * orbit.period, args=(orbit.spline(), p.v_sat),
-                    xtol=1e-12)
-        return x1 * n_cells / orbit.period - edge_index
+        x1, period = _edge_and_period(p, v0)
+        return x1 * n_cells / period - edge_index
 
     def message(ma: float, mb: float) -> str:
         return (f"edge index {edge_index} not bracketed: misfit ({ma:.3g}, {mb:.3g}); "
@@ -644,8 +638,8 @@ def construct_flat_hump(p: PhaseParams, v0: Optional[float] = None,
 
     The domain size is an output: l = period(v0).  v(x) is the orbit, u is
     the profile map of v below the saturation level and exactly 1 on the
-    plateau [x1, l - x1], where x1 is the first crossing v(x1) = v_sat
-    (bisection on the orbit's Hermite interpolant, tol 1e-11).  Residuals of
+    plateau [x1, l - x1], where x1 is the orbit's first crossing of v_sat.
+    Residuals of
     both stationary equations are measured on the sampled grid by centered
     differences, skipping the cells whose stencil straddles the plateau
     edges (u has a derivative kink there).
@@ -654,26 +648,14 @@ def construct_flat_hump(p: PhaseParams, v0: Optional[float] = None,
 
     if v0 is None:
         v0 = default_v0(p)
-    e0 = potential(p, v0)
-    window = energy_window(p)
-    if not e0 > window.at_sat:
-        raise InputError(
-            f"potential(v0)={e0:.6g} must exceed potential(v_sat)={window.at_sat:.6g} "
-            "or the orbit never saturates")
-
     orbit = integrate_orbit(p, v0)
-    length = orbit.period
-    spline = orbit.spline()
-
-    half = 0.5 * length
-    probe = spline(np.linspace(0.0, half, 4096))
-    if probe.max() < p.v_sat:
-        raise ConstructionError("orbit maximum stays below the saturation level")
-    x1 = brentq(_spline_gap, 0.0, half, args=(spline, p.v_sat), xtol=1e-11)
+    x1, length = orbit.x1, orbit.period
+    if x1 is None:
+        raise InputError(f"the orbit from v0={v0} turns below v_sat={p.v_sat:.6g}: no plateau")
 
     grid = Grid1D(grid_n, length)
     x = grid.centers
-    v = np.asarray(spline(x), dtype=float)
+    v = np.asarray(CubicHermiteSpline(orbit.x, orbit.v, orbit.w)(x), dtype=float)
     u = np.empty_like(v)
     density = _profile_map(p.coeffs, p.lam, p.v_sat)
     inside = (x >= x1) & (x <= length - x1)

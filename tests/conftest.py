@@ -46,7 +46,7 @@ def canonical_params(preset_c3, slope_interval):
 def aligned_v0(canonical_params):
     # plateau edge on a cell interface of the 1024-cell mesh (and thus of
     # every dyadic refinement); keeps refinement ratios clean
-    return st.v0_for_edge_alignment(canonical_params, 1024, 16, use_orbit=True)
+    return st.v0_for_edge_alignment(canonical_params, 1024, 16)
 
 
 @pytest.fixture(scope="session")

@@ -177,6 +177,15 @@ def test_malformed_number_in_spec_exits_2(tmp_path, command, key, spec):
     assert key in proc.stderr
 
 
+def test_overflowing_coefficient_expression_exits_2(tmp_path):
+    cfg_path = write_cfg(tmp_path, "huge.cfg", SIM_CFG.replace(
+        "preset = example-A", "coefficients.D = 9^9^9\ncoefficients.h = r * (1 - r)^2"))
+    proc = run_cli_process("simulate", cfg_path, str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "9^9^9" in proc.stderr
+
+
 def test_non_finite_length_exits_2(tmp_path):
     cfg_path = write_cfg(tmp_path, "nan.cfg", f"{STAT_CFG}\nstationary.v0 = length:nan\n")
     proc = run_cli_process("stationary", cfg_path, str(tmp_path / "o"))

@@ -39,3 +39,15 @@ def test_constant_broadcasts_over_arrays():
 def test_rejects_anything_outside_the_grammar(bad):
     with pytest.raises(InputError):
         parse_expression(bad)
+
+
+def test_integer_literals_evaluate_as_floats():
+    out = parse_expression("2^100")(0.5, 0.5)
+    assert isinstance(out, float)
+    assert out == 2.0 ** 100
+
+
+@pytest.mark.parametrize("bad", ["9^9^9", "1/0", "r + 2^(2^11)"])
+def test_failing_constant_rejected(bad):
+    with pytest.raises(InputError):
+        parse_expression(bad)

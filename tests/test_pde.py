@@ -153,14 +153,16 @@ class TestStep:
         with pytest.raises(BlowUpError):
             pde.step(state, grid, poisoned, make_cfg(), dt=1e-5)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("name", ["example-A", "example-B", "example-C", "example-D"])
     @given(data=hnp.arrays(float, 32, elements=hst.floats(0.0, 1.0)),
            chem=hnp.arrays(float, 32, elements=hst.floats(0.0, 3.0)))
     @settings(max_examples=25, deadline=None)
-    def test_one_step_respects_invariant_region(self, data, chem):
-        c = co.preset("example-A")
+    def test_one_step_respects_invariant_region(self, name, eps, data, chem):
+        c = co.preset(name)
         grid = pde.Grid1D(32, 2.0)
         state = pde.State(data.copy(), chem.copy())
-        out = pde.step(state, grid, c, make_cfg())
+        out = pde.step(state, grid, c, make_cfg(eps=eps))
         assert out.u.min() >= -1e-10
         assert out.u.max() <= 1.0 + 1e-10
         assert out.v.min() >= -1e-10

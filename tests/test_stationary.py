@@ -143,6 +143,38 @@ class TestOrbit:
         oracle = st.orbit_period_oracle(p, v0)
         assert orbit.period == pytest.approx(oracle, rel=1e-6)
 
+    def test_aligned_orbit_period_matches_the_oracle(self, canonical_profiles, canonical_params,
+                                                     aligned_v0):
+        # near the top of the window: the plateau is taken in closed form, so
+        # no integration step crosses the rhs kink at v_sat
+        orbit = canonical_profiles[1024].orbit
+        oracle = st.orbit_period_oracle(canonical_params, aligned_v0)
+        assert orbit.period == pytest.approx(oracle, rel=1e-8)
+
+    def test_aligned_orbit_energy_is_flat(self, canonical_profiles, canonical_params):
+        p = canonical_params
+        orbit = canonical_profiles[1024].orbit
+        idx = np.linspace(0, orbit.x.size - 1, 120).astype(int)
+        energies = np.array([st.energy(p, orbit.v[i], orbit.w[i]) for i in idx])
+        assert np.abs(energies - orbit.energy).max() <= 1e-12
+
+    def test_orbit_below_saturation_has_no_edge(self, canonical_params):
+        p = canonical_params
+        v0 = st._v0_at_energy(p, 0.5 * st.energy_window(p).at_sat)
+        orbit = st.integrate_orbit(p, v0)
+        assert orbit.x1 is None
+        assert orbit.v.max() < p.v_sat
+        assert orbit.period == pytest.approx(st.orbit_period_oracle(p, v0), rel=1e-6)
+
+    def test_plateau_above_the_ceiling_barrier_rejected(self, canonical_params):
+        # an energy over the ceiling barrier leaves no closed plateau
+        p = canonical_params
+        window = st.energy_window(p)
+        assert window.at_ceiling < window.at_saddle
+        v0 = st._v0_at_energy(p, 1.5 * window.at_ceiling)
+        with pytest.raises(ConstructionError):
+            st._plateau_half(p, v0)
+
     def test_composed_step_is_three_verlet_stages(self, canonical_params):
         # Yoshida's 4th-order composition written out stage by stage; the
         # stepper must reproduce it bit for bit, on both sides of v_sat
@@ -280,18 +312,23 @@ class TestV0Selection:
 
     def test_length_matching_quadrature_count(self, canonical_params, monkeypatch):
         # Brent's method on log(1 - energy fraction): two bracket ends, the
-        # iterations and the closing check, where bisection took 50
-        oracle = st.orbit_period_oracle
+        # iterations and the closing check, where bisection took 50; each
+        # period takes one edge quadrature
+        edge = st.edge_position
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return oracle(*args, **kwargs)
+            return edge(*args, **kwargs)
 
-        monkeypatch.setattr(st, "orbit_period_oracle", counting)
+        monkeypatch.setattr(st, "edge_position", counting)
         v0 = st.v0_for_length(canonical_params, 12.0)
         assert len(calls) <= 40
-        assert oracle(canonical_params, v0) == pytest.approx(12.0, abs=1e-8)
+        assert st.orbit_period_oracle(canonical_params, v0) == pytest.approx(12.0, abs=1e-8)
+
+    def test_length_matching_builds_the_length(self, canonical_params):
+        v0 = st.v0_for_length(canonical_params, 12.0)
+        assert abs(st.construct_flat_hump(canonical_params, v0, 256).length - 12.0) <= 1e-8
 
     def test_edge_position_matches_the_orbit(self, canonical_params):
         # the turning-point quadrature stopped at v_sat against the first
@@ -303,20 +340,17 @@ class TestV0Selection:
 
     def test_edge_alignment(self, canonical_params):
         v0 = st.v0_for_edge_alignment(canonical_params, 1024, 16)
-        e0 = st.potential(canonical_params, v0)
-        x1 = st.edge_position(canonical_params, v0, e0)
+        x1 = st.edge_position(canonical_params, v0)
         period = st.orbit_period_oracle(canonical_params, v0)
         assert x1 * 1024 / period == pytest.approx(16.0, abs=1e-6)
 
     def test_orbit_alignment_lands_on_the_interface(self, canonical_profiles):
-        # the aligned edge measured on the orbit the profile was built from;
-        # the orbit resolves it to about 2e-6 cells
+        # the aligned edge measured on the orbit the profile was built from
         prof = canonical_profiles[1024]
-        assert abs(prof.x1 * 1024 / prof.length - 16.0) <= 1e-5
+        assert abs(prof.x1 * 1024 / prof.length - 16.0) <= 1e-7
 
-    def test_orbit_alignment_probe_count(self, canonical_params, aligned_v0, monkeypatch):
-        # Brent's method on log(1 - energy fraction), where the misfit is
-        # smooth, needs about 15 orbit integrations here
+    def test_alignment_integrates_no_orbit(self, canonical_params, aligned_v0, monkeypatch):
+        # the misfit is the quadrature edge over the closed-form period
         integrate = st.integrate_orbit
         calls = []
 
@@ -325,9 +359,9 @@ class TestV0Selection:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(st, "integrate_orbit", counted)
-        v0 = st.v0_for_edge_alignment(canonical_params, 1024, 16, use_orbit=True)
+        v0 = st.v0_for_edge_alignment(canonical_params, 1024, 16)
         assert v0 == aligned_v0
-        assert len(calls) <= 16
+        assert len(calls) == 0
 
     def test_unreachable_edge_index_rejected(self, canonical_params):
         with pytest.raises(ConstructionError, match="not bracketed"):
