@@ -138,6 +138,9 @@ class Config:
         if "coefficients.g" not in m:
             base = co.with_reaction(base, gb)
 
+        abort = m.get("solver.abort_on_violation", "true").lower()
+        if abort not in ("true", "false"):
+            raise InputError(f"config key 'solver.abort_on_violation': {abort!r} is not true or false")
         grid = pde.Grid1D(
             n_cells=_get_int(m, "grid.n_cells", 256, minimum=4),
             length=_get_float(m, "grid.length", 10.0, positive=True))
@@ -148,7 +151,7 @@ class Config:
             t_end=_get_float(m, "solver.t_end", 1.0, positive=True),
             flux_scheme=m.get("solver.flux_scheme", "upwind_chemotaxis"),
             v_stepping=m.get("solver.v_stepping", "implicit"),
-            abort_on_violation=m.get("solver.abort_on_violation", "true").lower() != "false",
+            abort_on_violation=abort == "true",
             debug_boundary_leak=_get_float(m, "solver.debug_boundary_leak", 0.0))
 
         times: tuple[float, ...] = ()
@@ -157,6 +160,8 @@ class Config:
                 times = tuple(float(tok) for tok in m["sample_times"].split(","))
             except ValueError:
                 raise InputError(f"config key 'sample_times': cannot parse {m['sample_times']!r}") from None
+            if not all(np.isfinite(times)):
+                raise InputError(f"config key 'sample_times': {m['sample_times']!r} is not finite")
 
         return cls(
             coefficients=base, gamma_beta=gb, grid=grid, solver=solver,
@@ -203,9 +208,14 @@ def initial_profile(spec: str, grid: pde.Grid1D, rng: np.random.Generator,
         return pde.profile_step(grid)
     if kind == "random":
         hi = _spec_number(float, arg, key, spec) if arg else 1.0
+        if not 0.0 <= hi < np.inf:
+            raise InputError(f"config key {key!r}: bound in {spec!r} must be finite and >= 0")
         return pde.profile_random(grid, rng, 0.0, hi)
     if kind == "file":
-        data = np.genfromtxt(arg, delimiter=",", names=True, comments="#")
+        try:
+            data = np.genfromtxt(arg, delimiter=",", names=True, comments="#")
+        except (OSError, ValueError) as exc:
+            raise InputError(f"config key {key!r}: cannot read {arg!r}: {exc}") from None
         col = "v" if chemical else "u"
         if col not in (data.dtype.names or ()):
             raise InputError(f"initial data file {arg!r} lacks column {col!r}")

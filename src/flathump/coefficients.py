@@ -619,22 +619,52 @@ def with_reaction(c: CoefficientSet, gb: GammaBeta) -> CoefficientSet:
     return replace(c, g=_linear_reaction_funcs(gb), linear_reaction=gb, kappa=0.0)
 
 
-def _preset_a() -> CoefficientSet:
-    # D = (1-r)^2 (s+1), h = r (1-r)^2 (s+1); Kirchhoff transform
-    # K(r,s) = -(s+1) ((1-r)^3 - 1) / 3
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _separable_preset(name: str, sep: SeparableFactors, d1_integral: Func1,
+                      d2_slope: Func1) -> CoefficientSet:
+    """A preset derived from its factors: D = D1 D2, h = h1 h2, the Kirchhoff
+    transform (integral_0^r D1) D2 and its s-derivative (integral_0^r D1) D2',
+    and the reaction g = r - s."""
     def D(r, s):
-        return (1.0 - r) ** 2 * (s + 1.0)
+        return sep.d1(r) * sep.d2(s)
 
     def h(r, s):
-        return r * (1.0 - r) ** 2 * (s + 1.0)
+        return sep.h1(r) * sep.h2(s)
 
     def K(r, s):
-        return -(s + 1.0) * ((1.0 - r) ** 3 - 1.0) / 3.0
+        return d1_integral(r) * sep.d2(s)
 
     def K_s(r, s):
-        return -((1.0 - r) ** 3 - 1.0) / 3.0 + 0.0 * s
+        return d1_integral(r) * d2_slope(s)
 
-    sep = SeparableFactors(
+    gb = GammaBeta(1.0, 1.0)
+    return CoefficientSet(name, D, h, _linear_reaction_funcs(gb), separable=sep,
+                          antiderivative_D=K, antiderivative_D_s=K_s, linear_reaction=gb)
+
+
+def _square_integral(r):
+    return (1.0 - (1.0 - r) ** 3) / 3.0             # integral_0^r (1 - sigma)^2
+
+
+def _linear_integral(r):
+    return r - 0.5 * r ** 2                         # integral_0^r (1 - sigma)
+
+
+def _expit(y):
+    y = np.asarray(y, dtype=float)
+    return np.where(y >= 0, 1.0 / (1.0 + np.exp(-y)), np.exp(y) / (1.0 + np.exp(y)))
+
+
+_PRESETS: dict[str, CoefficientSet] = {c.name: c for c in (
+    # D = (1-r)^2 (s+1), h = r (1-r)^2 (s+1): chemical-dependent diffusion
+    _separable_preset("example-A", SeparableFactors(
         d1=lambda r: (1.0 - r) ** 2,
         d2=lambda s: s + 1.0,
         h1=lambda r: r * (1.0 - r) ** 2,
@@ -643,134 +673,49 @@ def _preset_a() -> CoefficientSet:
         cell_potential_inv=lambda y: 0.5 * np.exp(y),
         chem_potential=lambda s: np.asarray(s, dtype=float) + 0.0,
         chem_potential_inv=lambda y: np.asarray(y, dtype=float) + 0.0,
-    )
-    gb = GammaBeta(1.0, 1.0)
-    return CoefficientSet("example-A", D, h, _linear_reaction_funcs(gb),
-                          separable=sep, antiderivative_D=K, antiderivative_D_s=K_s,
-                          linear_reaction=gb)
-
-
-def _preset_b() -> CoefficientSet:
+    ), _square_integral, _ones),
     # D = (1-r)^2 (s-independent), h = r (1-r)^2 (s+1)
-    def D(r, s):
-        out = (1.0 - r) ** 2
-        return out + 0.0 * np.asarray(s, dtype=float)
-
-    def h(r, s):
-        return r * (1.0 - r) ** 2 * (s + 1.0)
-
-    def K(r, s):
-        out = -((1.0 - r) ** 3 - 1.0) / 3.0
-        return out + 0.0 * np.asarray(s, dtype=float)
-
-    def K_s(r, s):
-        return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(s)))
-
-    sep = SeparableFactors(
+    _separable_preset("example-B", SeparableFactors(
         d1=lambda r: (1.0 - r) ** 2,
-        d2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        d2=_ones,
         h1=lambda r: r * (1.0 - r) ** 2,
         h2=lambda s: s + 1.0,
         cell_potential=lambda r: np.log(2.0 * r),
         cell_potential_inv=lambda y: 0.5 * np.exp(y),
         chem_potential=lambda s: 0.5 * np.asarray(s, dtype=float) ** 2 + s,
         chem_potential_inv=lambda y: np.sqrt(1.0 + 2.0 * np.asarray(y, dtype=float)) - 1.0,
-    )
-    gb = GammaBeta(1.0, 1.0)
-    return CoefficientSet("example-B", D, h, _linear_reaction_funcs(gb),
-                          separable=sep, antiderivative_D=K, antiderivative_D_s=K_s,
-                          linear_reaction=gb)
-
-
-def _preset_c() -> CoefficientSet:
-    # Separable set with h1 = r D1 and h2 = e^s D2, the free factors fixed as
-    # D1 = 1 - r and D2 = 1.  Then cell_potential(r) = log 2r and
-    # chem_potential(s) = e^s - 1 exactly.
-    def D(r, s):
-        out = 1.0 - np.asarray(r, dtype=float)
-        return out + 0.0 * np.asarray(s, dtype=float)
-
-    def h(r, s):
-        return r * (1.0 - r) * np.exp(s)
-
-    def K(r, s):
-        out = np.asarray(r, dtype=float) - 0.5 * np.asarray(r, dtype=float) ** 2
-        return out + 0.0 * np.asarray(s, dtype=float)
-
-    def K_s(r, s):
-        return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(s)))
-
-    sep = SeparableFactors(
+    ), _square_integral, _zeros),
+    # h1 = r D1 and h2 = e^s D2 with D1 = 1 - r, D2 = 1: the flat-hump worked
+    # example, whose cell potential is log 2r and chemical potential e^s - 1
+    _separable_preset("example-C", SeparableFactors(
         d1=lambda r: 1.0 - np.asarray(r, dtype=float),
-        d2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        d2=_ones,
         h1=lambda r: r * (1.0 - r),
         h2=np.exp,
         cell_potential=lambda r: np.log(2.0 * r),
         cell_potential_inv=lambda y: 0.5 * np.exp(y),
-        chem_potential=lambda s: np.expm1(s),
+        chem_potential=np.expm1,
         chem_potential_inv=np.log1p,
-    )
-    gb = GammaBeta(1.0, 1.0)
-    return CoefficientSet("example-C", D, h, _linear_reaction_funcs(gb),
-                          separable=sep, antiderivative_D=K, antiderivative_D_s=K_s,
-                          linear_reaction=gb)
-
-
-def _preset_logistic() -> CoefficientSet:
+    ), _linear_integral, _zeros),
     # D1 = 1 - r, h1 = r (1-r)^2: the cell potential is logit(r), which
-    # diverges at r = 1, so the mass-based density bounds apply.
-    def D(r, s):
-        out = 1.0 - np.asarray(r, dtype=float)
-        return out + 0.0 * np.asarray(s, dtype=float)
-
-    def h(r, s):
-        out = r * (1.0 - r) ** 2
-        return out + 0.0 * np.asarray(s, dtype=float)
-
-    def K(r, s):
-        out = np.asarray(r, dtype=float) - 0.5 * np.asarray(r, dtype=float) ** 2
-        return out + 0.0 * np.asarray(s, dtype=float)
-
-    def K_s(r, s):
-        return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(s)))
-
-    def logit(r):
-        r = np.asarray(r, dtype=float)
-        return np.log(r) - np.log1p(-r)
-
-    def expit(y):
-        y = np.asarray(y, dtype=float)
-        return np.where(y >= 0, 1.0 / (1.0 + np.exp(-y)),
-                        np.exp(y) / (1.0 + np.exp(y)))
-
-    sep = SeparableFactors(
+    # diverges at r = 1, so the mass-based density bounds apply
+    _separable_preset("example-D", SeparableFactors(
         d1=lambda r: 1.0 - np.asarray(r, dtype=float),
-        d2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        d2=_ones,
         h1=lambda r: r * (1.0 - r) ** 2,
-        h2=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        cell_potential=logit,
-        cell_potential_inv=expit,
+        h2=_ones,
+        cell_potential=lambda r: np.log(r) - np.log1p(-r),     # logit(r)
+        cell_potential_inv=_expit,
         chem_potential=lambda s: np.asarray(s, dtype=float) + 0.0,
         chem_potential_inv=lambda y: np.asarray(y, dtype=float) + 0.0,
-    )
-    gb = GammaBeta(1.0, 1.0)
-    return CoefficientSet("example-D", D, h, _linear_reaction_funcs(gb),
-                          separable=sep, antiderivative_D=K, antiderivative_D_s=K_s,
-                          linear_reaction=gb)
-
-
-_PRESETS: dict[str, Callable[[], CoefficientSet]] = {
-    "example-A": _preset_a,
-    "example-B": _preset_b,
-    "example-C": _preset_c,
-    "example-D": _preset_logistic,
-}
+    ), _linear_integral, _zeros),
+)}
 
 
 def preset(name: str) -> CoefficientSet:
     """Look up a shipped coefficient set by its config key."""
     try:
-        return _PRESETS[name]()
+        return _PRESETS[name]
     except KeyError:
         raise InputError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}") from None
 

@@ -68,9 +68,12 @@ def parse_expression(text: str) -> Callable[..., np.ndarray]:
         # numpy arguments cannot raise, so this fails only on a literal too
         # large for a float or a constant sub-expression such as 9^9^9 or 1/0
         with np.errstate(all="ignore"):
-            eval(code, env, {"r": np.float64(0.5), "s": np.float64(0.5)})  # noqa: S307
+            probe = eval(code, env, {"r": np.float64(0.5), "s": np.float64(0.5)})  # noqa: S307
     except ArithmeticError as exc:
         raise InputError(f"cannot evaluate expression {text!r}: {exc}") from None
+    # a negative float base under a fractional exponent, as in (0-8)^(1/3)
+    if np.iscomplexobj(probe):
+        raise InputError(f"expression {text!r} has a complex value")
 
     def func(r, s):
         out = eval(code, env, {"r": r, "s": s})  # noqa: S307 - AST whitelisted above

@@ -334,10 +334,11 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
     v0 = np.asarray(v0, dtype=float)
     if u0.shape != (grid.n_cells,) or v0.shape != (grid.n_cells,):
         raise InputError("initial data shape does not match the grid")
-    if u0.min() < 0.0 or u0.max() > 1.0:
+    # written so that NaN fails: it compares false with everything
+    if not (u0.min() >= 0.0 and u0.max() <= 1.0):
         raise InputError("u0 must take values in [0, 1]")
-    if v0.min() < 0.0:
-        raise InputError("v0 must be nonnegative")
+    if not (v0.min() >= 0.0 and v0.max() < np.inf):
+        raise InputError("v0 must be finite and nonnegative")
 
     targets = sorted({float(t) for t in sample_times if 0.0 < t <= cfg.t_end})
     state = State(u0.copy(), v0.copy(), 0.0)

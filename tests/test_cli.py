@@ -47,6 +47,18 @@ class TestConfigParsing:
         with pytest.raises(InputError):
             cli.Config.from_mapping({})
 
+    def test_abort_on_violation_is_true_or_false(self):
+        for text, value in (("TRUE", True), ("false", False)):
+            cfg = cli.Config.from_mapping({"preset": "example-A", "solver.abort_on_violation": text})
+            assert cfg.solver.abort_on_violation is value
+        with pytest.raises(InputError, match="solver.abort_on_violation"):
+            cli.Config.from_mapping({"preset": "example-A", "solver.abort_on_violation": "flase"})
+
+    @pytest.mark.parametrize("times", ["0.1, nan", "inf", "0.5, -inf"])
+    def test_non_finite_sample_time_rejected(self, times):
+        with pytest.raises(InputError, match="sample_times"):
+            cli.Config.from_mapping({"preset": "example-A", "sample_times": times})
+
     def test_custom_coefficients(self):
         cfg = cli.Config.from_mapping({
             "coefficients.D": "(1-r)^2", "coefficients.h": "r*(1-r)^2*(s+1)",
@@ -175,6 +187,27 @@ def test_malformed_number_in_spec_exits_2(tmp_path, command, key, spec):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert key in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("initial.u", "file:{tmp}/missing.csv"),
+    ("initial.u", "file:{tmp}"),
+    ("initial.u", "file:{tmp}/nan.csv"),                # a non-numeric u cell reads as NaN
+    ("initial.u", "file:{tmp}/ragged.csv"),
+    ("initial.v", "random:-1"),
+    ("initial.v", "random:nan"),
+    ("initial.v", "random:inf"),
+    ("coefficients.D", "(0-8)^(1/3) * (1 - r)"),        # complex constant part
+])
+def test_malformed_input_exits_2(tmp_path, key, value):
+    (tmp_path / "nan.csv").write_text("x,u,v\n" + "0.1,abc,0.5\n" * 64, encoding="utf-8")
+    (tmp_path / "ragged.csv").write_text("x,u,v\n0.1,0.5\n", encoding="utf-8")
+    base = SIM_CFG.replace("preset = example-A", "coefficients.h = r * (1 - r)^2") \
+        if key.startswith("coefficients.") else SIM_CFG
+    cfg_path = write_cfg(tmp_path, "bad.cfg", f"{base}\n{key} = {value.format(tmp=tmp_path)}\n")
+    proc = run_cli_process("simulate", cfg_path, str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_overflowing_coefficient_expression_exits_2(tmp_path):

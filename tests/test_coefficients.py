@@ -180,6 +180,31 @@ class TestPotentials:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("name", co.preset_names())
+def test_closed_forms_match_numeric_path(name):
+    c = co.preset(name)
+    numeric = co.numeric_only(c)
+    rr, ss = np.meshgrid(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 4.0, 17), indexing="ij")
+    np.testing.assert_allclose(co.kirchhoff_many(c, rr, ss), co.kirchhoff_many(numeric, rr, ss),
+                               rtol=0, atol=1e-14)
+    # the numeric s-derivative is a central difference with step 1e-6
+    np.testing.assert_allclose(co.kirchhoff_s_many(c, rr, ss),
+                               co.kirchhoff_s_many(numeric, rr, ss), rtol=0, atol=1e-9)
+    for r in np.linspace(0.02, 0.98, 9):
+        y = co.cell_potential(c, r)
+        assert y == pytest.approx(co.cell_potential(numeric, r), abs=1e-12)
+        assert co.cell_potential_inv(c, y) == pytest.approx(r, abs=1e-12)
+        assert co.cell_potential_inv(numeric, y) == pytest.approx(r, abs=1e-12)
+    for s in np.linspace(0.0, 3.0, 9):
+        y = co.chem_potential(c, s)
+        assert y == pytest.approx(co.chem_potential(numeric, s), abs=1e-12)
+        assert co.chem_potential_inv(c, y) == pytest.approx(s, abs=1e-12)
+        assert co.chem_potential_inv(numeric, y) == pytest.approx(s, abs=1e-12)
+    top = co.cell_potential_at_one(c)
+    assert co.cell_potential_at_one(numeric) == pytest.approx(top, abs=1e-10)
+    assert math.isinf(top) == (name == "example-D")
+
+
 class TestInverses:
     def test_trivial_anchor(self, preset_c):
         assert co.cell_potential_inv(preset_c, 0.0) == pytest.approx(0.5, abs=1e-13)

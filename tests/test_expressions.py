@@ -47,7 +47,7 @@ def test_integer_literals_evaluate_as_floats():
     assert out == 2.0 ** 100
 
 
-@pytest.mark.parametrize("bad", ["9^9^9", "1/0", "r + 2^(2^11)"])
+@pytest.mark.parametrize("bad", ["9^9^9", "1/0", "r + 2^(2^11)", "(0-8)^(1/3)", "(0-1)^0.5"])
 def test_failing_constant_rejected(bad):
     with pytest.raises(InputError):
         parse_expression(bad)

@@ -263,6 +263,12 @@ class TestRun:
             pde.run(good, -good, grid, preset_a, make_cfg())
         with pytest.raises(InputError):
             pde.run(good[:-1], good, grid, preset_a, make_cfg())
+        # NaN compares false with everything, so it must fail the range checks
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError):
+                pde.run(np.where(np.arange(16) == 3, bad, good), good, grid, preset_a, make_cfg())
+            with pytest.raises(InputError):
+                pde.run(good, np.where(np.arange(16) == 3, bad, good), grid, preset_a, make_cfg())
 
     def test_deterministic(self, preset_a):
         grid = pde.Grid1D(64, 5.0)
