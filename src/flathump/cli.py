@@ -97,6 +97,22 @@ def _get_int(mapping, key, default=None, *, minimum=None):
     return val
 
 
+# every key a config may hold; any other key is a config error
+CONFIG_KEYS = frozenset({
+    "preset", "gamma", "beta", "seed", "output.dir", "sample_times",
+    "coefficients.D", "coefficients.h", "coefficients.g", "coefficients.kappa",
+    "coefficients.D1", "coefficients.D2", "coefficients.h1", "coefficients.h2",
+    "grid.n_cells", "grid.length",
+    "solver.eps", "solver.dt_max", "solver.cfl", "solver.t_end", "solver.flux_scheme",
+    "solver.v_stepping", "solver.abort_on_violation", "solver.debug_boundary_leak",
+    "initial.u", "initial.v",
+    "stationary.lambda", "stationary.lambda_fraction", "stationary.v0",
+    "stationary.grid_n", "stationary.residual_flux_tol", "stationary.residual_v_tol",
+    "verify.mass_tol", "verify.stationary_n", "verify.drift_tol",
+    "sweep.parameter", "sweep.values",
+})
+
+
 @dataclass
 class Config:
     """Validated run configuration."""
@@ -118,6 +134,11 @@ class Config:
 
     @classmethod
     def from_mapping(cls, m: dict[str, str]) -> "Config":
+        unknown = sorted(set(m) - CONFIG_KEYS)
+        if unknown:
+            raise InputError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+        if "preset" in m and any(key.startswith("coefficients.") for key in m):
+            raise InputError("config key 'preset' cannot be combined with 'coefficients.*' keys")
         gamma = _get_float(m, "gamma", 1.0, positive=True)
         beta = _get_float(m, "beta", 1.0, positive=True)
         gb = co.GammaBeta(gamma, beta)

@@ -642,6 +642,8 @@ def _separable_preset(name: str, sep: SeparableFactors, d1_integral: Func1,
         return d1_integral(r) * sep.d2(s)
 
     def K_s(r, s):
+        if d2_slope is _zeros:      # constant D2: no need to integrate D1
+            return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(s)))
         return d1_integral(r) * d2_slope(s)
 
     gb = GammaBeta(1.0, 1.0)

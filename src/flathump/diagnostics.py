@@ -19,6 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .pde import Grid1D, State
 
 
+# what set a step's dt: the largest term of the CFL rate, the dt_max cap,
+# or a cut at a sample time or t_end
+DT_LIMITS = ("diffusion", "advection", "reaction", "dt_max", "truncation")
+
+
 @dataclass
 class RunReport:
     """Diagnostic record of one solver run."""
@@ -29,6 +34,7 @@ class RunReport:
     v_min: list[float] = field(default_factory=list)
     v_max: list[float] = field(default_factory=list)
     dt_stats: tuple[float, float, int] = (0.0, 0.0, 0)
+    dt_limits: dict[str, int] = field(default_factory=lambda: dict.fromkeys(DT_LIMITS, 0))
     violations: list[tuple[float, str, float]] = field(default_factory=list)
 
     def record_mass(self, t: float, m: float) -> None:
@@ -73,6 +79,7 @@ class RunReport:
             ("dt_min", self.dt_stats[0]),
             ("dt_max", self.dt_stats[1]),
             ("n_steps", self.dt_stats[2]),
+            *((f"dt_set_by_{name}", count) for name, count in self.dt_limits.items()),
             ("n_violations", len(self.violations)),
         ]
         return items

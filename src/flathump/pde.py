@@ -125,13 +125,15 @@ def apply_eps(c: CoefficientSet, cfg: SolverConfig) -> CoefficientSet:
 # ---------------------------------------------------------------------------
 # coefficient bounds used by the CFL rule (grid sweeps; run() keeps one per ceiling)
 
+CFL_R_NODES = 129      # the bounds sample r at k/128, k = 0..128
 
-def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[float, float, float]:
-    """(max D, max |dh/dr|, max |dg/ds|) over [0,1] x [0, s_ceiling]."""
-    r = np.linspace(0.0, 1.0, 129)
+
+def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[np.ndarray, float, float]:
+    """(max over s of D per r-node, max |dh/dr|, max |dg/ds|) over [0,1] x [0, s_ceiling]."""
+    r = np.linspace(0.0, 1.0, CFL_R_NODES)
     s = np.linspace(0.0, s_ceiling, 17)
     rr, ss = np.meshgrid(r, s, indexing="ij")
-    d_max = float(np.max(np.asarray(c.D(rr, ss), dtype=float)))
+    d_by_node = np.max(np.asarray(c.D(rr, ss), dtype=float), axis=1)
     dr = 1e-6
     h_r = (np.asarray(c.h(np.clip(rr + dr, 0, 1), ss), dtype=float)
            - np.asarray(c.h(np.clip(rr - dr, 0, 1), ss), dtype=float))
@@ -141,40 +143,62 @@ def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[float, flo
     g_s = (np.asarray(c.g(rr, ss + ds), dtype=float)
            - np.asarray(c.g(rr, ss), dtype=float)) / ds
     gs_max = float(np.max(np.abs(g_s)))
-    return d_max, lip_h, gs_max
+    return d_by_node, lip_h, gs_max
 
 
 def _s_ceiling(v_max: float) -> float:
     # quantized so one sweep is reused while v wanders below the ceiling
-    return float(2.0 ** math.ceil(math.log2(max(v_max, 1e-6)))) if v_max > 1.0 else 1.0
+    return float(2.0 ** math.ceil(math.log2(max(v_max, 1e-6)))) if 1.0 < v_max < math.inf else 1.0
 
 
 def cfl_dt(state: State, grid: Grid1D, c_eps: CoefficientSet, cfg: SolverConfig) -> float:
     """Stable step from a harmonic combination of the active constraints.
 
     dt = cfl / (2 maxD/dx^2 + 2 Lh max|v_x|/dx + max|g_s| [+ 2/dx^2 explicit v]),
-    capped by dt_max.  The harmonic form keeps the sum of the parabolic and
-    advective Courant numbers below cfl, so any cfl <= 1 preserves the
-    monotonicity of the donor-cell update.  Each call sweeps the coefficient
-    bounds afresh; run() sweeps once per v-ceiling and reuses the result.
+    capped by dt_max.  maxD is taken over the r-nodes k/128 that bracket
+    the state's density range [min u, max u], which holds every secant
+    slope of K that the step differences; Lh and max|g_s| stay over all of
+    [0, 1], because positivity rests on h(u) <= Lh u.  The harmonic form
+    keeps the sum of the parabolic and advective Courant numbers below cfl,
+    so any cfl <= 1 preserves the monotonicity of the donor-cell update.
+    A state with a non-finite value raises BlowUpError.  Each call sweeps
+    the coefficient bounds afresh; run() sweeps once per v-ceiling and
+    reuses the result.
     """
     bounds = _coefficient_bounds(c_eps, _s_ceiling(float(state.v.max(initial=0.0))))
-    return _dt_from_bounds(state, grid.dx, bounds, cfg)
+    return _dt_from_bounds(state, grid.dx, bounds, cfg)[0]
 
 
-def _dt_from_bounds(state: State, dx: float, bounds: tuple[float, float, float],
-                    cfg: SolverConfig) -> float:
-    d_max, lip_h, gs_max = bounds
-    v = state.v
+def _dt_from_bounds(state: State, dx: float, bounds: tuple[np.ndarray, float, float],
+                    cfg: SolverConfig) -> tuple[float, str]:
+    """(dt, what set it: "diffusion", "advection", "reaction" or "dt_max")."""
+    d_by_node, lip_h, gs_max = bounds
+    u, v = state.u, state.v
+    u_min, u_max = float(u.min()), float(u.max())
     grad_v = float(np.abs(v[1:] - v[:-1]).max()) / dx if v.size > 1 else 0.0
-    rate = 2.0 * d_max / dx ** 2 + 2.0 * lip_h * grad_v / dx + gs_max
+    # min/max and the differences propagate NaN and inf
+    if not all(map(math.isfinite, (u_min, u_max, grad_v))):
+        raise BlowUpError(f"non-finite state at t={state.t}")
+    last = CFL_R_NODES - 1
+    lo = min(max(math.floor(last * u_min), 0), last)
+    hi = min(max(math.ceil(last * u_max), 0), last)
+    diffusion = 2.0 * float(d_by_node[lo:hi + 1].max()) / dx ** 2
+    advection = 2.0 * lip_h * grad_v / dx
+    rate = diffusion + advection + gs_max
     if cfg.v_stepping == "explicit":
         rate += 2.0 / dx ** 2
-    dt = cfg.cfl / rate if rate > 0 else cfg.dt_max
-    dt = min(dt, cfg.dt_max)
+        diffusion += 2.0 / dx ** 2
+    if not (rate > 0 and cfg.cfl / rate <= cfg.dt_max):
+        dt, limit = cfg.dt_max, "dt_max"
+    else:
+        dt = cfg.cfl / rate
+        if diffusion >= max(advection, gs_max):
+            limit = "diffusion"
+        else:
+            limit = "advection" if advection >= gs_max else "reaction"
     if dt < DT_UNDERFLOW:
         raise StiffnessError(f"dt={dt:.3e} underflowed at t={state.t}")
-    return dt
+    return dt, limit
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +350,8 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
 
     Returns the snapshots (plus the final state if t_end is not already a
     sample time) and a RunReport with the mass history, per-snapshot
-    extrema, dt statistics and any tolerated invariant violations.
+    extrema, dt statistics, the count of steps by what set dt
+    (diagnostics.DT_LIMITS) and any tolerated invariant violations.
     """
     from .diagnostics import RunReport, mass
 
@@ -353,21 +378,24 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
 
     next_idx = 0
     dt_min, dt_max_seen, n_steps = math.inf, 0.0, 0
-    bounds: dict[float, tuple[float, float, float]] = {}    # one sweep per v-ceiling
+    bounds: dict[float, tuple[np.ndarray, float, float]] = {}    # one sweep per v-ceiling
     try:
         while state.t < cfg.t_end - 1e-12:
             ceiling = _s_ceiling(float(state.v.max(initial=0.0)))
             if ceiling not in bounds:
                 bounds[ceiling] = _coefficient_bounds(c_eps, ceiling)
-            dt = _dt_from_bounds(state, grid.dx, bounds[ceiling], cfg)
+            dt, limit = _dt_from_bounds(state, grid.dx, bounds[ceiling], cfg)
             hit_sample = False
             if next_idx < len(targets) and state.t + dt >= targets[next_idx] - 1e-12:
                 dt = targets[next_idx] - state.t
                 hit_sample = True
+                limit = "truncation"
             elif state.t + dt > cfg.t_end:
                 dt = cfg.t_end - state.t
+                limit = "truncation"
             state = step(state, grid, c_eps, cfg, dt, eps_applied=True)
             n_steps += 1
+            report.dt_limits[limit] += 1
             dt_min = min(dt_min, dt)
             dt_max_seen = max(dt_max_seen, dt)
             if not cfg.abort_on_violation:

@@ -8,6 +8,10 @@ from flathump import cli
 from flathump.errors import InputError
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "configs")
+
+
 def write_cfg(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -58,6 +62,28 @@ class TestConfigParsing:
     def test_non_finite_sample_time_rejected(self, times):
         with pytest.raises(InputError, match="sample_times"):
             cli.Config.from_mapping({"preset": "example-A", "sample_times": times})
+
+    def test_unknown_key_rejected(self):
+        for key in ("sovler.eps", "solver.t_edn", "grid.n"):
+            with pytest.raises(InputError, match=key):
+                cli.Config.from_mapping({"preset": "example-A", key: "1"})
+
+    def test_every_read_key_accepted(self):
+        cli.Config.from_mapping({
+            "preset": "example-A", "stationary.residual_flux_tol": "1e-6",
+            "stationary.residual_v_tol": "1e-4", "verify.mass_tol": "1e-11",
+            "verify.stationary_n": "512", "verify.drift_tol": "2e-2",
+            "sweep.parameter": "solver.eps", "sweep.values": "0.1, 0.01",
+            "solver.debug_boundary_leak": "0"})
+
+    @pytest.mark.parametrize("key", ["coefficients.D", "coefficients.g", "coefficients.kappa"])
+    def test_preset_with_coefficients_rejected(self, key):
+        with pytest.raises(InputError, match="preset"):
+            cli.Config.from_mapping({"preset": "example-A", key: "1"})
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_shipped_configs_load(self, name):
+        cli.load_config(os.path.join(CONFIG_DIR, name))
 
     def test_custom_coefficients(self):
         cfg = cli.Config.from_mapping({
@@ -208,6 +234,18 @@ def test_malformed_input_exits_2(tmp_path, key, value):
     proc = run_cli_process("simulate", cfg_path, str(tmp_path / "o"))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("lines, named", [
+    ("sovler.eps = -5\nsolver.t_edn = 0.01\ngrid.n = 32\n", "sovler.eps"),
+    ("coefficients.D = (1 - r)^2\n", "preset"),
+])
+def test_unknown_or_conflicting_key_exits_2(tmp_path, lines, named):
+    cfg_path = write_cfg(tmp_path, "bad.cfg", SIM_CFG + lines)
+    proc = run_cli_process("simulate", cfg_path, str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert named in proc.stderr
 
 
 def test_overflowing_coefficient_expression_exits_2(tmp_path):

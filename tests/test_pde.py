@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from flathump import coefficients as co
 from flathump import pde
-from flathump.diagnostics import grid_convergence_order, lp_distance, mass
+from flathump.diagnostics import DT_LIMITS, grid_convergence_order, lp_distance, mass
 from flathump.errors import BlowUpError, InputError, InvariantViolationError, StiffnessError
 
 
@@ -96,6 +96,40 @@ class TestCflDt:
         dt = pde.cfl_dt(state, grid, c, make_cfg(eps=1e-2, dt_max=10.0))
         assert dt <= 0.45 * grid.dx ** 2 / (2 * max_d) * (1 + 1e-6)
 
+    def test_spanning_state_keeps_the_full_range_bound(self, preset_a):
+        # a state that reaches both end nodes takes max D over all of [0, 1]
+        c = co.regularize(preset_a, 1e-3)
+        grid = pde.Grid1D(64, 4.0)
+        rng = np.random.default_rng(1)
+        u = rng.uniform(0.1, 0.9, 64)
+        u[[5, 40]] = 0.0, 1.0
+        state = pde.State(u, rng.uniform(0, 1, 64))
+        cfg = make_cfg(dt_max=10.0)
+        d_by_node, lip_h, gs_max = pde._coefficient_bounds(c, 1.0)
+        grad_v = float(np.abs(np.diff(state.v)).max()) / grid.dx
+        rate = 2.0 * float(d_by_node.max()) / grid.dx ** 2 + 2.0 * lip_h * grad_v / grid.dx + gs_max
+        assert pde.cfl_dt(state, grid, c, cfg) == cfg.cfl / rate
+
+    def test_diffusive_rate_uses_the_state_range(self, preset_c):
+        # D = 1 - r on u in [0.9, 1]: the bound is D at node floor(0.9 * 128) / 128
+        grid = pde.Grid1D(64, 4.0)
+        state = pde.State(np.linspace(0.9, 1.0, 64), np.full(64, 0.5))
+        cfg = make_cfg(eps=0.0, dt_max=10.0)
+        _, _, gs_max = pde._coefficient_bounds(preset_c, 1.0)
+        d_node = 1.0 - math.floor(0.9 * 128) / 128
+        dt = pde.cfl_dt(state, grid, preset_c, cfg)
+        assert dt == pytest.approx(cfg.cfl / (2.0 * d_node / grid.dx ** 2 + gs_max), rel=1e-14)
+        assert dt > 8.0 * cfg.cfl / (2.0 / grid.dx ** 2 + gs_max)
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, preset_a, field, bad):
+        grid = pde.Grid1D(16, 1.0)
+        state = pde.State(np.full(16, 0.5), np.full(16, 0.5))
+        getattr(state, field)[3] = bad
+        with pytest.raises(BlowUpError, match="non-finite"):
+            pde.cfl_dt(state, grid, preset_a, make_cfg())
+
     def test_stiffness_error(self):
         c = co.from_expressions("stiff", D="100000000000000000", h="0", g="0")
         grid = pde.Grid1D(16, 1.0)
@@ -156,12 +190,16 @@ class TestStep:
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("name", ["example-A", "example-B", "example-C", "example-D"])
     @given(data=hnp.arrays(float, 32, elements=hst.floats(0.0, 1.0)),
-           chem=hnp.arrays(float, 32, elements=hst.floats(0.0, 3.0)))
+           chem=hnp.arrays(float, 32, elements=hst.floats(0.0, 3.0)),
+           band=hst.none() | hst.tuples(hst.floats(0.0, 0.9), hst.floats(0.0, 0.1)))
     @settings(max_examples=25, deadline=None)
-    def test_one_step_respects_invariant_region(self, name, eps, data, chem):
+    def test_one_step_respects_invariant_region(self, name, eps, data, chem, band):
+        # band = (a, w) squeezes u into [a, a + w], where the CFL bound takes
+        # max D over that narrow range only
         c = co.preset(name)
         grid = pde.Grid1D(32, 2.0)
-        state = pde.State(data.copy(), chem.copy())
+        u = data if band is None else band[0] + band[1] * data
+        state = pde.State(u.copy(), chem.copy())
         out = pde.step(state, grid, c, make_cfg(eps=eps))
         assert out.u.min() >= -1e-10
         assert out.u.max() <= 1.0 + 1e-10
@@ -269,6 +307,20 @@ class TestRun:
                 pde.run(np.where(np.arange(16) == 3, bad, good), good, grid, preset_a, make_cfg())
             with pytest.raises(InputError):
                 pde.run(good, np.where(np.arange(16) == 3, bad, good), grid, preset_a, make_cfg())
+
+    def test_dt_limits_count_every_step(self, canonical_profiles):
+        # the flat hump at eps = 0: D <= 0.09 on its density range, yet the
+        # parabolic term still sets dt at n = 1024
+        prof = canonical_profiles[1024]
+        _, report = pde.run(prof.u, prof.v, prof.grid, prof.params.coeffs,
+                            make_cfg(eps=0.0, t_end=0.01), sample_times=[0.005])
+        limits = report.dt_limits
+        assert list(limits) == list(DT_LIMITS)
+        assert sum(limits.values()) == report.dt_stats[2]
+        assert limits["truncation"] == 2
+        assert limits["diffusion"] == report.dt_stats[2] - 2
+        items = dict(report.flat_items())
+        assert [items[f"dt_set_by_{name}"] for name in DT_LIMITS] == list(limits.values())
 
     def test_deterministic(self, preset_a):
         grid = pde.Grid1D(64, 5.0)
