@@ -19,7 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .pde import Grid1D, State
 
 
-# what set a step's dt: the largest term of the CFL rate, the dt_max cap,
+# what set a step's dt: the largest term of the CFL rate ("diffusion" is the
+# 2/dx^2 of an explicit v-step; u's diffusion is implicit), the dt_max cap,
 # or a cut at a sample time or t_end
 DT_LIMITS = ("diffusion", "advection", "reaction", "dt_max", "truncation")
 
@@ -35,6 +36,8 @@ class RunReport:
     v_max: list[float] = field(default_factory=list)
     dt_stats: tuple[float, float, int] = (0.0, 0.0, 0)
     dt_limits: dict[str, int] = field(default_factory=lambda: dict.fromkeys(DT_LIMITS, 0))
+    newton_iterations: int = 0          # Kirchhoff-stage Newton iterations, summed over steps
+    newton_iterations_max: int = 0      # and the most taken in one step
     violations: list[tuple[float, str, float]] = field(default_factory=list)
 
     def record_mass(self, t: float, m: float) -> None:
@@ -80,6 +83,8 @@ class RunReport:
             ("dt_max", self.dt_stats[1]),
             ("n_steps", self.dt_stats[2]),
             *((f"dt_set_by_{name}", count) for name, count in self.dt_limits.items()),
+            ("newton_iterations", self.newton_iterations),
+            ("newton_iterations_max", self.newton_iterations_max),
             ("n_violations", len(self.violations)),
         ]
         return items

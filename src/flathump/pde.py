@@ -5,27 +5,39 @@ conservation form
 
     u_i <- u_i - (dt/dx) (F_{i+1/2} - F_{i-1/2}),       F_boundary = 0,
 
-so the discrete mass sum(u) dx telescopes exactly.  The diffusive part of
-the interface flux differences the composite Kirchhoff field K(u_i, v_i)
-and subtracts the K_s correction,
+so the discrete mass sum(u) dx telescopes exactly.  The diffusive flux
+mirrors the identity D u_x = (K(u, v))_x - K_s(u, v) v_x of the composite
+Kirchhoff field K; the form stays meaningful at the degeneracy u = 1 and in
+the bare eps = 0 limit.  Each step splits it in two stages.
 
-    F_diff = -(K(u_R, v_R) - K(u_L, v_L))/dx + K_s(ubar, sbar) (v_R - v_L)/dx,
+Implicit stage.  With sbar = (v_i + v_{i+1})/2 frozen at each interface,
+the Kirchhoff difference
 
-mirroring the identity D u_x = (K(u, v))_x - K_s(u, v) v_x; the form stays
-meaningful at the degeneracy u = 1 and in the bare eps = 0 limit.
+    F^K_{i+1/2}(w) = -(K(w_{i+1}, sbar) - K(w_i, sbar))/dx
 
-The chemotactic part upwinds the sensitivity in the direction of the
-v-gradient (donor evaluation of h).  On its own that update can push a cell
-past the saturation density when strong gradients feed an almost-full cell
-(and past u = 1 the diffusion coefficient of the model turns negative, so
-the run explodes).  The step therefore scales the chemotactic part of the
-inflowing interfaces of any cell that one step would overfill, by exactly
-the factor that lands it at the ceiling: a conservative flux limiter in the
-Zhang-Shu spirit, not a state clipping (mass moves between cells only
-through interface fluxes).  The limiter is inactive wherever one step's
-chemotactic inflow is below the cell's remaining capacity, i.e. everywhere
-except a thin saturation front, so stationary plateau profiles are held
-rather than eroded.
+is taken by backward Euler: Newton solves w - u + (dt/dx) div F^K(w) = 0.
+Its Jacobian I + (dt/dx^2) L diag(D(., sbar)) is a tridiagonal M-matrix
+even at eps = 0, so the stage obeys a discrete maximum principle and dt is
+not bound by dx^2.  The converged flux is applied in flux form,
+u_d = u - (dt/dx) div F^K(w), so the mass still telescopes.
+
+Explicit stage at u_d.  The remainder of the diffusive flux,
+
+    R = (-[K(u_R, v_R) - K(u_R, sbar)] + [K(u_L, v_L) - K(u_L, sbar)]
+         + K_s(ubar, sbar) (v_R - v_L)) / dx,
+
+vanishes exactly when K does not depend on s.  The chemotactic part
+upwinds the sensitivity in the direction of the v-gradient (donor
+evaluation of h).  On its own that update can push a cell past the
+saturation density when strong gradients feed an almost-full cell (and past
+u = 1 the diffusion coefficient of the model turns negative, so the run
+explodes).  The step therefore scales the chemotactic part of the inflowing
+interfaces of any cell that one step would overfill, by exactly the factor
+that lands it at the ceiling: a conservative flux limiter in the Zhang-Shu
+spirit, not a state clipping.  The capacity is taken after the diffusive
+outflow, 1 - (u_d - (dt/dx) div R), so at a saturated plateau edge the
+chemotactic inflow balances that outflow and the plateau is held rather
+than eroded.
 
 The v-equation v_t = v_xx + g(u, v) is stepped by backward-Euler diffusion
 with explicit reaction (default) or fully explicitly.
@@ -125,15 +137,12 @@ def apply_eps(c: CoefficientSet, cfg: SolverConfig) -> CoefficientSet:
 # ---------------------------------------------------------------------------
 # coefficient bounds used by the CFL rule (grid sweeps; run() keeps one per ceiling)
 
-CFL_R_NODES = 129      # the bounds sample r at k/128, k = 0..128
 
-
-def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[np.ndarray, float, float]:
-    """(max over s of D per r-node, max |dh/dr|, max |dg/ds|) over [0,1] x [0, s_ceiling]."""
-    r = np.linspace(0.0, 1.0, CFL_R_NODES)
+def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[float, float]:
+    """(max |dh/dr|, max |dg/ds|) over [0,1] x [0, s_ceiling]."""
+    r = np.linspace(0.0, 1.0, 129)
     s = np.linspace(0.0, s_ceiling, 17)
     rr, ss = np.meshgrid(r, s, indexing="ij")
-    d_by_node = np.max(np.asarray(c.D(rr, ss), dtype=float), axis=1)
     dr = 1e-6
     h_r = (np.asarray(c.h(np.clip(rr + dr, 0, 1), ss), dtype=float)
            - np.asarray(c.h(np.clip(rr - dr, 0, 1), ss), dtype=float))
@@ -143,7 +152,7 @@ def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[np.ndarray
     g_s = (np.asarray(c.g(rr, ss + ds), dtype=float)
            - np.asarray(c.g(rr, ss), dtype=float)) / ds
     gs_max = float(np.max(np.abs(g_s)))
-    return d_by_node, lip_h, gs_max
+    return lip_h, gs_max
 
 
 def _s_ceiling(v_max: float) -> float:
@@ -152,42 +161,33 @@ def _s_ceiling(v_max: float) -> float:
 
 
 def cfl_dt(state: State, grid: Grid1D, c_eps: CoefficientSet, cfg: SolverConfig) -> float:
-    """Stable step from a harmonic combination of the active constraints.
+    """Stable step of the explicit stage from a harmonic combination of its rates.
 
-    dt = cfl / (2 maxD/dx^2 + 2 Lh max|v_x|/dx + max|g_s| [+ 2/dx^2 explicit v]),
-    capped by dt_max.  maxD is taken over the r-nodes k/128 that bracket
-    the state's density range [min u, max u], which holds every secant
-    slope of K that the step differences; Lh and max|g_s| stay over all of
-    [0, 1], because positivity rests on h(u) <= Lh u.  The harmonic form
-    keeps the sum of the parabolic and advective Courant numbers below cfl,
-    so any cfl <= 1 preserves the monotonicity of the donor-cell update.
-    A state with a non-finite value raises BlowUpError.  Each call sweeps
-    the coefficient bounds afresh; run() sweeps once per v-ceiling and
-    reuses the result.
+    dt = cfl / (2 Lh max|v_x|/dx + max|g_s| [+ 2/dx^2 explicit v]), capped
+    by dt_max.  The Kirchhoff diffusion of u is taken by backward Euler and
+    puts no bound on dt.  Lh and max|g_s| are taken over [0, 1] x [0, s
+    ceiling], because positivity rests on h(u) <= Lh u; the harmonic form
+    keeps the explicit Courant numbers' sum below cfl, so any cfl <= 1
+    preserves the monotonicity of the donor-cell update.  A state with a
+    non-finite value raises BlowUpError.  Each call sweeps the coefficient
+    bounds afresh; run() sweeps once per v-ceiling and reuses the result.
     """
-    bounds = _coefficient_bounds(c_eps, _s_ceiling(float(state.v.max(initial=0.0))))
-    return _dt_from_bounds(state, grid.dx, bounds, cfg)[0]
-
-
-def _dt_from_bounds(state: State, dx: float, bounds: tuple[np.ndarray, float, float],
-                    cfg: SolverConfig) -> tuple[float, str]:
-    """(dt, what set it: "diffusion", "advection", "reaction" or "dt_max")."""
-    d_by_node, lip_h, gs_max = bounds
-    u, v = state.u, state.v
-    u_min, u_max = float(u.min()), float(u.max())
-    grad_v = float(np.abs(v[1:] - v[:-1]).max()) / dx if v.size > 1 else 0.0
-    # min/max and the differences propagate NaN and inf
-    if not all(map(math.isfinite, (u_min, u_max, grad_v))):
+    if not np.isfinite(state.u).all():
         raise BlowUpError(f"non-finite state at t={state.t}")
-    last = CFL_R_NODES - 1
-    lo = min(max(math.floor(last * u_min), 0), last)
-    hi = min(max(math.ceil(last * u_max), 0), last)
-    diffusion = 2.0 * float(d_by_node[lo:hi + 1].max()) / dx ** 2
+    bounds = _coefficient_bounds(c_eps, _s_ceiling(float(state.v.max(initial=0.0))))
+    return _dt_from_bounds(state.v, state.t, grid.dx, bounds, cfg)[0]
+
+
+def _dt_from_bounds(v: np.ndarray, t: float, dx: float, bounds: tuple[float, float],
+                    cfg: SolverConfig) -> tuple[float, str]:
+    """(dt, what set it: "diffusion" of an explicit v, "advection", "reaction" or "dt_max")."""
+    lip_h, gs_max = bounds
+    grad_v = float(np.abs(v[1:] - v[:-1]).max()) / dx
+    if not math.isfinite(grad_v):       # the differences propagate NaN and inf
+        raise BlowUpError(f"non-finite state at t={t}")
     advection = 2.0 * lip_h * grad_v / dx
+    diffusion = 2.0 / dx ** 2 if cfg.v_stepping == "explicit" else 0.0
     rate = diffusion + advection + gs_max
-    if cfg.v_stepping == "explicit":
-        rate += 2.0 / dx ** 2
-        diffusion += 2.0 / dx ** 2
     if not (rate > 0 and cfg.cfl / rate <= cfg.dt_max):
         dt, limit = cfg.dt_max, "dt_max"
     else:
@@ -197,7 +197,7 @@ def _dt_from_bounds(state: State, dx: float, bounds: tuple[np.ndarray, float, fl
         else:
             limit = "advection" if advection >= gs_max else "reaction"
     if dt < DT_UNDERFLOW:
-        raise StiffnessError(f"dt={dt:.3e} underflowed at t={state.t}")
+        raise StiffnessError(f"dt={dt:.3e} underflowed at t={t}")
     return dt, limit
 
 
@@ -205,23 +205,46 @@ def _dt_from_bounds(state: State, dx: float, bounds: tuple[np.ndarray, float, fl
 # interface fluxes
 
 
-def _split_fluxes(u: np.ndarray, v: np.ndarray, dx: float, c_eps: CoefficientSet,
-                  scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """(diffusive, chemotactic) fluxes at the n-1 interior interfaces.
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """The two cells of each of the n-1 interior interfaces, stacked: left cells first."""
+    return np.concatenate((x[:-1], x[1:]))
 
-    The diffusive part discretizes -D u_x as the difference of the
-    composite Kirchhoff field K(u_i, v_i) plus the K_s correction, exactly
-    mirroring the identity D grad u = grad[K(u, v)] - K_s(u, v) grad v; the
-    two v-couplings cancel to second order, leaving the degenerate r-part.
+
+def _flux_update(u: np.ndarray, flux: np.ndarray, coeff: float) -> np.ndarray:
+    """u - coeff * div(flux) with zero flux through the boundary."""
+    out = u.copy()
+    step_flux = coeff * flux
+    out[:-1] -= step_flux
+    out[1:] += step_flux
+    return out
+
+
+def _kirchhoff_flux(w_pair: np.ndarray, s_pair: np.ndarray, dx: float,
+                    c_eps: CoefficientSet) -> np.ndarray:
+    """F^K = -(K(w_R, sbar) - K(w_L, sbar))/dx from the stacked interface pairs."""
+    K = co.kirchhoff_many(c_eps, w_pair, s_pair)
+    m = K.size // 2
+    return (K[:m] - K[m:]) / dx
+
+
+def _explicit_fluxes(u: np.ndarray, v: np.ndarray, s_pair: np.ndarray, dx: float,
+                     c_eps: CoefficientSet, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """(diffusive remainder R, chemotactic flux) at the n-1 interior interfaces.
+
+    F^K + R is the Kirchhoff difference of K(u_i, v_i) plus the K_s
+    correction, mirroring D grad u = grad[K(u, v)] - K_s(u, v) grad v; R
+    holds its v-couplings, which cancel to second order.
     """
     uL, uR = u[:-1], u[1:]
-    s_bar = 0.5 * (v[:-1] + v[1:])
-    u_bar = 0.5 * (uL + uR)
+    m = uL.size
+    s_bar = s_pair[:m]
     dv = v[1:] - v[:-1]
 
     K = co.kirchhoff_many(c_eps, u, v)
-    diff = -(K[1:] - K[:-1]) / dx
-    diff += co.kirchhoff_s_many(c_eps, u_bar, s_bar) * dv / dx
+    K_bar = co.kirchhoff_many(c_eps, _pairs(u), s_pair)
+    rem = (K[:-1] - K_bar[:m]) - (K[1:] - K_bar[m:])
+    rem += co.kirchhoff_s_many(c_eps, 0.5 * (uL + uR), s_bar) * dv
+    rem /= dx
 
     if scheme == "upwind_chemotaxis":
         donor = np.where(dv > 0.0, uL, uR)
@@ -229,7 +252,7 @@ def _split_fluxes(u: np.ndarray, v: np.ndarray, dx: float, c_eps: CoefficientSet
     else:
         h_val = 0.5 * (np.asarray(c_eps.h(uL, s_bar), dtype=float)
                        + np.asarray(c_eps.h(uR, s_bar), dtype=float))
-    return diff, h_val * dv / dx
+    return rem, h_val * dv / dx
 
 
 def _limit_chemo_inflow(u: np.ndarray, diff: np.ndarray, chem: np.ndarray,
@@ -242,16 +265,11 @@ def _limit_chemo_inflow(u: np.ndarray, diff: np.ndarray, chem: np.ndarray,
     its receiving cell), so the update stays conservative.
     """
     coeff = dt / dx
-    step_diff = coeff * diff
-    u_diff = u.copy()
-    u_diff[:-1] -= step_diff
-    u_diff[1:] += step_diff
-
     inflow = np.zeros_like(u)
     inflow[1:] += np.maximum(chem, 0.0)          # rightward flux feeds cell i+1
     inflow[:-1] += np.maximum(-chem, 0.0)        # leftward flux feeds cell i
     inflow *= coeff
-    capacity = np.maximum(1.0 - u_diff, 0.0)
+    capacity = np.maximum(1.0 - _flux_update(u, diff, coeff), 0.0)
     over = inflow > capacity
     if not over.any():
         return chem
@@ -264,22 +282,73 @@ def flux_interface(uL: float, uR: float, vL: float, vR: float, dx: float,
                    c_eps: CoefficientSet, scheme: str = "upwind_chemotaxis") -> float:
     """Single-interface numerical u-flux (sign: flux of u to the right).
 
-    This is the unlimited flux; the saturation limiter in :func:`step`
-    additionally scales chemotactic inflows of cells one step would
-    overfill (it needs dt and both neighbor interfaces, so it is not a
-    property of a single interface).
+    This is the semi-discrete flux F^K + R + chemotaxis at one state.  The
+    step evaluates F^K at the backward-Euler solution and R and chemotaxis
+    at the state after it, and its saturation limiter additionally scales
+    chemotactic inflows of cells one step would overfill (it needs dt and
+    both neighbor interfaces, so it is not a property of a single
+    interface).
     """
     for name, val in (("uL", uL), ("uR", uR)):
         if not 0.0 <= val <= 1.0:
             raise InputError(f"{name}={val} outside [0, 1]")
     if vL < 0 or vR < 0:
         raise InputError("vL, vR must be nonnegative")
-    diff, chem = _split_fluxes(np.array([uL, uR]), np.array([vL, vR]), dx, c_eps, scheme)
-    return float(diff[0] + chem[0])
+    u, v = np.array([uL, uR]), np.array([vL, vR])
+    s_pair = np.full(2, 0.5 * (vL + vR))
+    rem, chem = _explicit_fluxes(u, v, s_pair, dx, c_eps, scheme)
+    return float(_kirchhoff_flux(_pairs(u), s_pair, dx, c_eps)[0] + rem[0] + chem[0])
 
 
 # ---------------------------------------------------------------------------
 # time stepping
+
+NEWTON_TOL = 1e-13      # max |correction| (or |residual|) that ends the Kirchhoff solve
+NEWTON_MAX_ITER = 30
+
+
+def _implicit_kirchhoff(u: np.ndarray, s_pair: np.ndarray, dt: float, dx: float,
+                        c_eps: CoefficientSet, t: float) -> tuple[np.ndarray, int]:
+    """Backward-Euler Kirchhoff stage: (converged F^K, Newton iterations).
+
+    Newton on w - u + (dt/dx) div F^K(w) = 0 with the tridiagonal Jacobian
+    I + (dt/dx^2) L diag(D(., sbar)), solved by LAPACK gtsv.  The solution
+    obeys the maximum principle, so each iterate is projected onto
+    [min u, max u].  Newton takes at least one iteration and stops when its
+    correction or the residual falls to NEWTON_TOL; a linear K converges in
+    one.  A non-finite residual or correction raises BlowUpError, no
+    convergence within NEWTON_MAX_ITER raises StiffnessError.
+    """
+    coeff = dt / dx
+    a = coeff / dx
+    lo, hi = u.min(), u.max()
+    m = u.size - 1
+    w = u
+    correction = math.inf
+    for iterations in range(NEWTON_MAX_ITER + 1):
+        w_pair = _pairs(w)
+        flux = _kirchhoff_flux(w_pair, s_pair, dx, c_eps)
+        residual = w - _flux_update(u, flux, coeff)
+        size = float(np.abs(residual).max())
+        if not math.isfinite(size):
+            raise BlowUpError(f"solution blew up in the Kirchhoff stage at t={t}")
+        if iterations and (size <= NEWTON_TOL or correction <= NEWTON_TOL):
+            return flux, iterations
+        if iterations == NEWTON_MAX_ITER:
+            break
+        d_pair = a * np.asarray(c_eps.D(w_pair, s_pair), dtype=float)
+        left, right = d_pair[:m], d_pair[m:]        # dF/dw_L and -dF/dw_R, times dt/dx
+        diag = np.ones_like(w)
+        diag[:-1] += left
+        diag[1:] += right
+        *_, delta, info = dgtsv(-left, diag, -right, -residual, overwrite_dl=True,
+                                overwrite_d=True, overwrite_du=True, overwrite_b=True)
+        if info != 0:
+            raise StiffnessError(f"singular Kirchhoff Jacobian at t={t} (LAPACK gtsv info={info})")
+        correction = float(np.abs(delta).max())     # NaN here makes the next residual NaN
+        w = np.clip(w + delta, lo, hi)
+    raise StiffnessError(f"Kirchhoff Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                         f"at t={t} (last correction {correction:.3e})")
 
 
 def _advance_v(u: np.ndarray, v: np.ndarray, dt: float, dx: float,
@@ -304,33 +373,43 @@ def _advance_v(u: np.ndarray, v: np.ndarray, dt: float, dx: float,
     return v_new
 
 
+@dataclass
+class StepInfo:
+    """What a step measured on the way, for run() to reuse and report."""
+
+    newton_iterations: int = 0
+    v_max: float = 0.0          # max of the new v, from the step's own checks
+
+
 def step(state: State, grid: Grid1D, c: CoefficientSet, cfg: SolverConfig,
-         dt: Optional[float] = None, *, eps_applied: bool = False) -> State:
+         dt: Optional[float] = None, *, eps_applied: bool = False,
+         info: Optional[StepInfo] = None) -> State:
     """Advance one time step; returns a new State.
 
     ``dt`` defaults to the CFL-limited step.  ``eps_applied`` indicates that
     ``c`` already carries the config's regularization (run() passes the
-    shifted set once instead of rebuilding it every step).
+    shifted set once instead of rebuilding it every step).  ``info``, when
+    given, receives the step's Newton iteration count and the new max of v.
     """
     c_eps = c if eps_applied else apply_eps(c, cfg)
     if dt is None:
         dt = cfl_dt(state, grid, c_eps, cfg)
     dx = grid.dx
-    diff, chem = _split_fluxes(state.u, state.v, dx, c_eps, cfg.flux_scheme)
-    if cfg.flux_scheme == "upwind_chemotaxis":
-        chem = _limit_chemo_inflow(state.u, diff, chem, dt, dx)
-    flux = diff + chem
-
-    u_new = state.u.copy()
     coeff = dt / dx
-    step_flux = coeff * flux
-    u_new[:-1] -= step_flux
-    u_new[1:] += step_flux
+    u, v = state.u, state.v
+    t = state.t + dt
+    s_bar = 0.5 * (v[:-1] + v[1:])
+    s_pair = np.concatenate((s_bar, s_bar))      # frozen at both cells of an interface
+    kirchhoff, iterations = _implicit_kirchhoff(u, s_pair, dt, dx, c_eps, t)
+    u_d = _flux_update(u, kirchhoff, coeff)
+    rem, chem = _explicit_fluxes(u_d, v, s_pair, dx, c_eps, cfg.flux_scheme)
+    if cfg.flux_scheme == "upwind_chemotaxis":
+        chem = _limit_chemo_inflow(u_d, rem, chem, dt, dx)
+    u_new = _flux_update(u_d, rem + chem, coeff)
     if cfg.debug_boundary_leak:
         u_new[0] += coeff * cfg.debug_boundary_leak
 
-    v_new = _advance_v(state.u, state.v, dt, dx, c_eps, cfg.v_stepping)
-    t = state.t + dt
+    v_new = _advance_v(u, v, dt, dx, c_eps, cfg.v_stepping)
     # one set of reductions serves both checks: min/max propagate NaN and inf
     u_min, u_max, v_min, v_max = u_new.min(), u_new.max(), v_new.min(), v_new.max()
     if not all(map(math.isfinite, (u_min, u_max, v_min, v_max))):
@@ -341,6 +420,9 @@ def step(state: State, grid: Grid1D, c: CoefficientSet, cfg: SolverConfig,
                 f"u out of [0, 1] at t={t}: range [{u_min:.3e}, {u_max:.3e}]")
         if v_min < -TOL_BOUND:
             raise InvariantViolationError(f"v negative at t={t}: min {v_min:.3e}")
+    if info is not None:
+        info.newton_iterations = iterations
+        info.v_max = float(v_max)
     return State(u_new, v_new, t)
 
 
@@ -351,7 +433,8 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
     Returns the snapshots (plus the final state if t_end is not already a
     sample time) and a RunReport with the mass history, per-snapshot
     extrema, dt statistics, the count of steps by what set dt
-    (diagnostics.DT_LIMITS) and any tolerated invariant violations.
+    (diagnostics.DT_LIMITS), the Newton iteration counts and any tolerated
+    invariant violations.
     """
     from .diagnostics import RunReport, mass
 
@@ -377,14 +460,16 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
         report.record_snapshot(state)
 
     next_idx = 0
-    dt_min, dt_max_seen, n_steps = math.inf, 0.0, 0
-    bounds: dict[float, tuple[np.ndarray, float, float]] = {}    # one sweep per v-ceiling
+    # dt_min skips steps cut to land on a sample time or t_end, unless all were
+    dt_min_stable, dt_min_cut, dt_max_seen, n_steps = math.inf, math.inf, 0.0, 0
+    bounds: dict[float, tuple[float, float]] = {}      # one sweep per v-ceiling
+    info = StepInfo(v_max=float(v0.max()))
     try:
         while state.t < cfg.t_end - 1e-12:
-            ceiling = _s_ceiling(float(state.v.max(initial=0.0)))
+            ceiling = _s_ceiling(info.v_max)
             if ceiling not in bounds:
                 bounds[ceiling] = _coefficient_bounds(c_eps, ceiling)
-            dt, limit = _dt_from_bounds(state, grid.dx, bounds[ceiling], cfg)
+            dt, limit = _dt_from_bounds(state.v, state.t, grid.dx, bounds[ceiling], cfg)
             hit_sample = False
             if next_idx < len(targets) and state.t + dt >= targets[next_idx] - 1e-12:
                 dt = targets[next_idx] - state.t
@@ -393,10 +478,16 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
             elif state.t + dt > cfg.t_end:
                 dt = cfg.t_end - state.t
                 limit = "truncation"
-            state = step(state, grid, c_eps, cfg, dt, eps_applied=True)
+            state = step(state, grid, c_eps, cfg, dt, eps_applied=True, info=info)
             n_steps += 1
             report.dt_limits[limit] += 1
-            dt_min = min(dt_min, dt)
+            report.newton_iterations += info.newton_iterations
+            report.newton_iterations_max = max(report.newton_iterations_max,
+                                               info.newton_iterations)
+            if limit == "truncation":
+                dt_min_cut = min(dt_min_cut, dt)
+            else:
+                dt_min_stable = min(dt_min_stable, dt)
             dt_max_seen = max(dt_max_seen, dt)
             if not cfg.abort_on_violation:
                 report.record_violations(state, TOL_BOUND)
@@ -413,6 +504,7 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
         snapshots.append(state.copy())
         report.record_snapshot(state)
     report.record_mass(state.t, mass(state, grid))
+    dt_min = dt_min_stable if dt_min_stable < math.inf else dt_min_cut
     report.dt_stats = (dt_min if n_steps else 0.0, dt_max_seen, n_steps)
     return snapshots, report
 

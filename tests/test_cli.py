@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from flathump import cli
+from flathump import cli, pde
 from flathump.errors import InputError
 
 
@@ -134,6 +134,11 @@ class TestSimulate:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_newton_failure_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pde, "NEWTON_MAX_ITER", 1)
+        cfg_path = write_cfg(tmp_path, "sim.cfg", SIM_CFG)
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
 
 
 STAT_CFG = """

@@ -61,30 +61,38 @@ class TestFluxInterface:
 
 
 class TestCflDt:
-    def test_constant_coefficient_heat_limit(self):
-        # D^eps = eps, no chemotaxis, no reaction: dt = cfl dx^2 / (2 eps)
-        c = co.from_expressions("bare", D="0", h="0", g="0")
-        c_eps = co.regularize(c, 0.5)
-        grid = pde.Grid1D(64, 4.0)
-        state = pde.State(np.full(64, 0.5), np.full(64, 1.0))
-        cfg = make_cfg(eps=0.5, dt_max=10.0)
-        dt = pde.cfl_dt(state, grid, c_eps, cfg)
-        assert dt == pytest.approx(cfg.cfl * grid.dx ** 2 / (2 * 0.5), rel=1e-12)
+    @staticmethod
+    def _explicit_rate(c, state, grid):
+        # the rate of the explicit stage from the CFL rule's own sweep
+        lip_h, gs_max = pde._coefficient_bounds(c, 1.0)
+        grad_v = float(np.abs(np.diff(state.v)).max()) / grid.dx
+        return 2.0 * lip_h * grad_v / grid.dx + gs_max
 
-    def test_doubling_cells_quarters_dt(self, preset_a):
-        # diffusion-dominated: no sensitivity, no reaction
-        c = co.regularize(
-            co.from_expressions("a-diff", D="(1-r)^2*(s+1)", h="0", g="0"), 1e-2)
+    def test_pure_diffusion_takes_dt_max(self):
+        # D^eps = eps, no chemotaxis, no reaction: the implicit stage sets no
+        # bound, so dt is the cap however fine the mesh
+        c_eps = co.regularize(co.from_expressions("bare", D="0", h="0", g="0"), 0.5)
+        cfg = make_cfg(eps=0.5, dt_max=10.0)
+        for n in (64, 4096):
+            grid = pde.Grid1D(n, 4.0)
+            state = pde.State(np.full(n, 0.5), np.full(n, 1.0))
+            assert pde.cfl_dt(state, grid, c_eps, cfg) == 10.0
+
+    def test_doubling_cells_halves_the_advective_dt(self):
+        # v linear in x: max|v_x| is the same on both meshes, so the
+        # advective rate 2 Lip(h) max|v_x| / dx doubles with n
+        c = co.from_expressions("a-chemo", D="(1-r)^2*(s+1)", h="r*(1-r)^2*(s+1)", g="0")
         cfg = make_cfg(eps=1e-2, dt_max=10.0)
         dts = []
         for n in (64, 128):
             grid = pde.Grid1D(n, 4.0)
-            state = pde.State(np.full(n, 0.5), np.full(n, 0.5))
-            dts.append(pde.cfl_dt(state, grid, c, cfg))
-        assert dts[1] <= dts[0] / 4.0 * (1 + 1e-12)
+            state = pde.State(np.full(n, 0.5), 0.25 * grid.centers)
+            dts.append(pde.cfl_dt(state, grid, co.regularize(c, 1e-2), cfg))
+        assert dts[1] == pytest.approx(dts[0] / 2.0, rel=1e-12)
 
     def test_consistent_with_grid_sweep(self, preset_a):
-        # independent sweep of max D over [0,1] x [0,1] at eps = 0.01
+        # independent bound from the closed forms of preset A on [0,1] x [0,1]:
+        # h_r = (1-r)(1-3r)(s+1), g_s = -1
         c = co.regularize(preset_a, 1e-2)
         grid = pde.Grid1D(64, 4.0)
         rng = np.random.default_rng(0)
@@ -92,34 +100,40 @@ class TestCflDt:
         r = np.linspace(0, 1, 301)
         s = np.linspace(0, 1, 301)
         rr, ss = np.meshgrid(r, s)
-        max_d = float(np.max(c.D(rr, ss)))
+        lip_h = float(np.max(np.abs((1 - rr) * (1 - 3 * rr) * (ss + 1))))
+        grad_v = float(np.abs(np.diff(state.v)).max()) / grid.dx
         dt = pde.cfl_dt(state, grid, c, make_cfg(eps=1e-2, dt_max=10.0))
-        assert dt <= 0.45 * grid.dx ** 2 / (2 * max_d) * (1 + 1e-6)
+        # the rule's one-sided difference at r = 0 reads Lip(h) low by ~2e-6
+        assert dt == pytest.approx(0.45 / (2.0 * lip_h * grad_v / grid.dx + 1.0), rel=1e-5)
 
-    def test_spanning_state_keeps_the_full_range_bound(self, preset_a):
-        # a state that reaches both end nodes takes max D over all of [0, 1]
+    @pytest.mark.parametrize("v_stepping", ["implicit", "explicit"])
+    def test_dt_is_the_explicit_rate(self, preset_a, v_stepping):
+        # dt = cfl / (2 Lip(h) max|v_x| / dx + max|g_s| [+ 2/dx^2 explicit v])
         c = co.regularize(preset_a, 1e-3)
         grid = pde.Grid1D(64, 4.0)
         rng = np.random.default_rng(1)
-        u = rng.uniform(0.1, 0.9, 64)
-        u[[5, 40]] = 0.0, 1.0
-        state = pde.State(u, rng.uniform(0, 1, 64))
-        cfg = make_cfg(dt_max=10.0)
-        d_by_node, lip_h, gs_max = pde._coefficient_bounds(c, 1.0)
-        grad_v = float(np.abs(np.diff(state.v)).max()) / grid.dx
-        rate = 2.0 * float(d_by_node.max()) / grid.dx ** 2 + 2.0 * lip_h * grad_v / grid.dx + gs_max
+        state = pde.State(rng.uniform(0, 1, 64), rng.uniform(0, 1, 64))
+        cfg = make_cfg(dt_max=10.0, v_stepping=v_stepping)
+        rate = self._explicit_rate(c, state, grid)
+        if v_stepping == "explicit":
+            rate += 2.0 / grid.dx ** 2
         assert pde.cfl_dt(state, grid, c, cfg) == cfg.cfl / rate
+        capped = make_cfg(dt_max=0.5 * cfg.cfl / rate, v_stepping=v_stepping)
+        assert pde.cfl_dt(state, grid, c, capped) == capped.dt_max
 
-    def test_diffusive_rate_uses_the_state_range(self, preset_c):
-        # D = 1 - r on u in [0.9, 1]: the bound is D at node floor(0.9 * 128) / 128
+    @pytest.mark.parametrize("band", [(0.0, 1.0), (0.9, 1.0)], ids=["full", "narrow"])
+    def test_dt_does_not_depend_on_d(self, band):
+        # preset C's h and g with D = 1 - r and with D scaled by 1e6: the
+        # same dt to the bit
+        c, big_d = (co.from_expressions("c", D=d, h="r*(1-r)*exp(s)", g="r-s")
+                    for d in ("1-r", "1000000*(1-r)"))
         grid = pde.Grid1D(64, 4.0)
-        state = pde.State(np.linspace(0.9, 1.0, 64), np.full(64, 0.5))
+        rng = np.random.default_rng(2)
+        state = pde.State(np.linspace(*band, 64), rng.uniform(0, 1, 64))
         cfg = make_cfg(eps=0.0, dt_max=10.0)
-        _, _, gs_max = pde._coefficient_bounds(preset_c, 1.0)
-        d_node = 1.0 - math.floor(0.9 * 128) / 128
-        dt = pde.cfl_dt(state, grid, preset_c, cfg)
-        assert dt == pytest.approx(cfg.cfl / (2.0 * d_node / grid.dx ** 2 + gs_max), rel=1e-14)
-        assert dt > 8.0 * cfg.cfl / (2.0 / grid.dx ** 2 + gs_max)
+        dt = pde.cfl_dt(state, grid, c, cfg)
+        assert dt == cfg.cfl / self._explicit_rate(c, state, grid)
+        assert pde.cfl_dt(state, grid, big_d, cfg) == dt
 
     @pytest.mark.parametrize("field", ["u", "v"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -131,11 +145,14 @@ class TestCflDt:
             pde.cfl_dt(state, grid, preset_a, make_cfg())
 
     def test_stiffness_error(self):
-        c = co.from_expressions("stiff", D="100000000000000000", h="0", g="0")
+        # a huge h v_x underflows dt; a huge D no longer does
         grid = pde.Grid1D(16, 1.0)
-        state = pde.State(np.full(16, 0.5), np.zeros(16))
+        state = pde.State(np.full(16, 0.5), np.linspace(0.0, 1.0, 16))
+        stiff = co.from_expressions("stiff", D="1", h="100000000000000000*r", g="0")
         with pytest.raises(StiffnessError):
-            pde.cfl_dt(state, grid, c, make_cfg())
+            pde.cfl_dt(state, grid, stiff, make_cfg())
+        huge_d = co.from_expressions("huge-d", D="100000000000000000", h="0", g="0")
+        assert pde.cfl_dt(state, grid, huge_d, make_cfg()) == make_cfg().dt_max
 
 
 class TestStep:
@@ -194,8 +211,8 @@ class TestStep:
            band=hst.none() | hst.tuples(hst.floats(0.0, 0.9), hst.floats(0.0, 0.1)))
     @settings(max_examples=25, deadline=None)
     def test_one_step_respects_invariant_region(self, name, eps, data, chem, band):
-        # band = (a, w) squeezes u into [a, a + w], where the CFL bound takes
-        # max D over that narrow range only
+        # band = (a, w) squeezes u into [a, a + w], the range the Kirchhoff
+        # stage's iterates are projected onto
         c = co.preset(name)
         grid = pde.Grid1D(32, 2.0)
         u = data if band is None else band[0] + band[1] * data
@@ -205,6 +222,49 @@ class TestStep:
         assert out.u.max() <= 1.0 + 1e-10
         assert out.v.min() >= -1e-10
 
+
+
+class TestKirchhoffStage:
+    def test_linear_diffusion_matches_dense_solve(self):
+        # constant D, h = 0, g = 0: one step at 100x the old explicit limit
+        # cfl dx^2 / (2 D) is one backward-Euler solve of the Neumann heat
+        # equation, and keeps u within its own range
+        c = co.from_expressions("heat", D="1", h="0", g="0")
+        n = 64
+        grid = pde.Grid1D(n, 4.0)
+        rng = np.random.default_rng(12)
+        state = pde.State(rng.uniform(0, 1, n), np.full(n, 0.5))
+        cfg = make_cfg(eps=0.0)
+        dt = 100.0 * cfg.cfl * grid.dx ** 2 / 2.0
+        out = pde.step(state, grid, c, cfg, dt=dt)
+        want = np.linalg.solve(TestImplicitVSolve._dense_matrix(n, dt / grid.dx ** 2), state.u)
+        np.testing.assert_allclose(out.u, want, rtol=0, atol=1e-13)
+        assert state.u.min() <= out.u.min() and out.u.max() <= state.u.max()
+
+    def test_first_order_in_time(self, preset_c):
+        # halving dt_max halves the L2 error against a dt_max = 1e-5 run
+        grid = pde.Grid1D(256, 10.0)
+        u0 = pde.profile_step(grid)
+        v0 = pde.profile_constant(grid, 0.5)
+
+        def final(dt_max):
+            snaps, _ = pde.run(u0, v0, grid, preset_c,
+                               make_cfg(eps=1e-3, t_end=0.1, dt_max=dt_max))
+            return snaps[-1]
+
+        ref = final(1e-5)
+        errs = [lp_distance(final(d), ref, grid, "L2")[0] for d in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
+        ratios = [e1 / e2 for e1, e2 in zip(errs, errs[1:])]
+        assert all(1.8 < r < 2.2 for r in ratios), ratios
+
+    def test_newton_non_convergence_is_stiffness(self, preset_a, monkeypatch):
+        # preset A's K is cubic in u: one iteration cannot meet NEWTON_TOL
+        monkeypatch.setattr(pde, "NEWTON_MAX_ITER", 1)
+        grid = pde.Grid1D(64, 5.0)
+        rng = np.random.default_rng(4)
+        state = pde.State(rng.uniform(0, 1, 64), rng.uniform(0, 1, 64))
+        with pytest.raises(StiffnessError, match="did not converge"):
+            pde.step(state, grid, preset_a, make_cfg())
 
 
 class TestImplicitVSolve:
@@ -235,7 +295,7 @@ class TestImplicitVSolve:
 
 class TestInvariantChecks:
     def test_step_aborts_on_violation(self, preset_a):
-        # a dt far above the CFL bound overshoots the diffusive update
+        # a dt far above the CFL bound overshoots the explicit chemotactic update
         grid = pde.Grid1D(64, 5.0)
         rng = np.random.default_rng(3)
         state = pde.State(rng.uniform(0, 1, 64), rng.uniform(0, 1, 64))
@@ -309,8 +369,8 @@ class TestRun:
                 pde.run(good, np.where(np.arange(16) == 3, bad, good), grid, preset_a, make_cfg())
 
     def test_dt_limits_count_every_step(self, canonical_profiles):
-        # the flat hump at eps = 0: D <= 0.09 on its density range, yet the
-        # parabolic term still sets dt at n = 1024
+        # the flat hump at eps = 0: with u's diffusion implicit, the
+        # chemotactic flux sets dt at every step that is not cut
         prof = canonical_profiles[1024]
         _, report = pde.run(prof.u, prof.v, prof.grid, prof.params.coeffs,
                             make_cfg(eps=0.0, t_end=0.01), sample_times=[0.005])
@@ -318,9 +378,47 @@ class TestRun:
         assert list(limits) == list(DT_LIMITS)
         assert sum(limits.values()) == report.dt_stats[2]
         assert limits["truncation"] == 2
-        assert limits["diffusion"] == report.dt_stats[2] - 2
+        assert limits["advection"] == report.dt_stats[2] - 2 > 0
         items = dict(report.flat_items())
         assert [items[f"dt_set_by_{name}"] for name in DT_LIMITS] == list(limits.values())
+
+    def test_dt_min_skips_truncated_steps(self, preset_a):
+        # a rest state steps at dt_max = 1e-2; the last step is cut to 5e-3
+        grid = pde.Grid1D(32, 5.0)
+        u0 = np.full(32, 0.37)
+        _, report = pde.run(u0, u0.copy(), grid, preset_a, make_cfg(t_end=0.035))
+        assert report.dt_limits["dt_max"] == 3 and report.dt_limits["truncation"] == 1
+        assert report.dt_stats == (1e-2, 1e-2, 4)
+        # every step cut: dt_min falls back to the smallest step
+        _, report = pde.run(u0, u0.copy(), grid, preset_a, make_cfg(t_end=0.008),
+                            sample_times=[0.005])
+        assert report.dt_limits["truncation"] == 2
+        assert report.dt_stats[0] == pytest.approx(0.003, rel=1e-12)
+
+    def test_newton_iterations_reported(self, preset_a):
+        grid = pde.Grid1D(128, 10.0)
+        u0 = pde.profile_bump(grid)
+        v0 = pde.profile_constant(grid, 0.5)
+        _, report = pde.run(u0, v0, grid, preset_a, make_cfg(t_end=0.1))
+        n_steps = report.dt_stats[2]
+        assert report.newton_iterations >= n_steps
+        assert report.newton_iterations_max >= 2      # K is nonlinear in u
+        items = dict(report.flat_items())
+        assert items["newton_iterations"] == report.newton_iterations
+        assert items["newton_iterations_max"] == report.newton_iterations_max
+        _, again = pde.run(u0, v0, grid, preset_a, make_cfg(t_end=0.1))
+        assert (again.newton_iterations, again.newton_iterations_max) == \
+            (report.newton_iterations, report.newton_iterations_max)
+
+    def test_linear_kirchhoff_takes_one_newton_iteration(self):
+        # constant D makes K linear in u, so Newton is exact at once
+        c = co.from_expressions("const-d", D="1", h="r*(1-r)", g="r-s")
+        grid = pde.Grid1D(128, 10.0)
+        u0 = pde.profile_bump(grid)
+        v0 = pde.profile_constant(grid, 0.5)
+        _, report = pde.run(u0, v0, grid, c, make_cfg(eps=0.0, t_end=0.1))
+        assert report.newton_iterations == report.dt_stats[2]
+        assert report.newton_iterations_max == 1
 
     def test_deterministic(self, preset_a):
         grid = pde.Grid1D(64, 5.0)
