@@ -12,7 +12,6 @@ import argparse
 import os
 import time
 
-from flathump import coefficients as co
 from flathump import pde, reporting
 from flathump import stationary as st
 
@@ -24,13 +23,12 @@ def main():
     ap.add_argument("--t-check", type=float, default=0.25)
     args = ap.parse_args()
 
-    c = co.with_reaction(co.preset("example-C"), co.GammaBeta(3.0, 1.0))
-    r_star, (lo, hi) = st.lambda_interval_from_slopes(c, c.linear_reaction)
-    lam = lo + 0.035 * (hi - lo)
+    p = st.canonical_params()
+    c = p.coeffs
+    r_star, (lo, hi) = st.lambda_interval_from_slopes(c, p.gb)
     print(f"slope-matching point r0 = {r_star:.12f}")
-    print(f"admissible offsets: ({lo:.6f}, {hi:.6f}); using lambda = {lam:.6f}")
+    print(f"admissible offsets: ({lo:.6f}, {hi:.6f}); using lambda = {p.lam:.6f}")
 
-    p = st.find_crossings(c, lam)
     holds, margin = st.hump_energy_margin(p)
     print(f"crossings: rho_saddle = {p.rho_saddle:.3e}, rho_center = {p.rho_center:.6f}, "
           f"v_sat = {p.v_sat:.6f}")

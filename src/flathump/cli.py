@@ -28,13 +28,10 @@ from . import pde
 from . import reporting
 from . import stationary as st
 from .errors import (
-    BlowUpError,
     ConstructionError,
     CrossingConditionError,
     InputError,
-    InvariantViolationError,
     SolverError,
-    StiffnessError,
     StructuralError,
 )
 
@@ -103,8 +100,8 @@ CONFIG_KEYS = frozenset({
     "coefficients.D", "coefficients.h", "coefficients.g", "coefficients.kappa",
     "coefficients.D1", "coefficients.D2", "coefficients.h1", "coefficients.h2",
     "grid.n_cells", "grid.length",
-    "solver.eps", "solver.dt_max", "solver.cfl", "solver.t_end", "solver.flux_scheme",
-    "solver.v_stepping", "solver.abort_on_violation", "solver.debug_boundary_leak",
+    "solver.eps", "solver.dt_max", "solver.cfl", "solver.t_end",
+    "solver.abort_on_violation", "solver.debug_boundary_leak",
     "initial.u", "initial.v",
     "stationary.lambda", "stationary.lambda_fraction", "stationary.v0",
     "stationary.grid_n", "stationary.residual_flux_tol", "stationary.residual_v_tol",
@@ -170,8 +167,6 @@ class Config:
             dt_max=_get_float(m, "solver.dt_max", 1e-2, positive=True),
             cfl=_get_float(m, "solver.cfl", 0.45, positive=True),
             t_end=_get_float(m, "solver.t_end", 1.0, positive=True),
-            flux_scheme=m.get("solver.flux_scheme", "upwind_chemotaxis"),
-            v_stepping=m.get("solver.v_stepping", "implicit"),
             abort_on_violation=abort == "true",
             debug_boundary_leak=_get_float(m, "solver.debug_boundary_leak", 0.0))
 
@@ -393,9 +388,7 @@ def cmd_verify(cfg: Config) -> int:
     reporting.write_study(os.path.join(cfg.out_dir, "dependence_study.csv"), dep_tab)
 
     try:
-        c3 = co.with_reaction(co.preset("example-C"), co.GammaBeta(3.0, 1.0))
-        _, (lo, hi) = st.lambda_interval_from_slopes(c3, c3.linear_reaction)
-        params = st.find_crossings(c3, lo + 0.035 * (hi - lo))
+        params = st.canonical_params()
         n_prof = _get_int(cfg.raw, "verify.stationary_n", 1024, minimum=64)
         v0s = st.v0_for_edge_alignment(params, 1024, 16)
         profile = st.construct_flat_hump(params, v0s, n_prof)
@@ -472,7 +465,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, StiffnessError, InvariantViolationError, SolverError) as exc:
+    except SolverError as exc:          # blow-up, stiffness, invariant violation
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

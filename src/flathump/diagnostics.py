@@ -19,10 +19,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .pde import Grid1D, State
 
 
-# what set a step's dt: the largest term of the CFL rate ("diffusion" is the
-# 2/dx^2 of an explicit v-step; u's diffusion is implicit), the dt_max cap,
-# or a cut at a sample time or t_end
-DT_LIMITS = ("diffusion", "advection", "reaction", "dt_max", "truncation")
+# what set a step's dt: the larger term of the CFL rate (the chemotactic
+# advection or the reaction; both diffusions are implicit and set none), the
+# dt_max cap, or a cut at a sample time or t_end
+DT_LIMITS = ("advection", "reaction", "dt_max", "truncation")
 
 
 @dataclass

@@ -40,7 +40,7 @@ chemotactic inflow balances that outflow and the plateau is held rather
 than eroded.
 
 The v-equation v_t = v_xx + g(u, v) is stepped by backward-Euler diffusion
-with explicit reaction (default) or fully explicitly.
+with explicit reaction.
 """
 
 from __future__ import annotations
@@ -109,8 +109,6 @@ class SolverConfig:
     dt_max: float = 1e-2
     cfl: float = 0.45
     t_end: float = 1.0
-    flux_scheme: str = "upwind_chemotaxis"      # or "central"
-    v_stepping: str = "implicit"                # or "explicit"
     abort_on_violation: bool = True
     debug_boundary_leak: float = 0.0
 
@@ -123,10 +121,6 @@ class SolverConfig:
             raise InputError("cfl must lie in (0, 1]")
         if not self.t_end > 0:
             raise InputError("t_end must be positive")
-        if self.flux_scheme not in ("upwind_chemotaxis", "central"):
-            raise InputError(f"unknown flux_scheme {self.flux_scheme!r}")
-        if self.v_stepping not in ("implicit", "explicit"):
-            raise InputError(f"unknown v_stepping {self.v_stepping!r}")
 
 
 def apply_eps(c: CoefficientSet, cfg: SolverConfig) -> CoefficientSet:
@@ -139,20 +133,22 @@ def apply_eps(c: CoefficientSet, cfg: SolverConfig) -> CoefficientSet:
 
 
 def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[float, float]:
-    """(max |dh/dr|, max |dg/ds|) over [0,1] x [0, s_ceiling]."""
+    """(max |dh/dr|, max |dg/ds|) over [0,1] x [0, s_ceiling]; InputError where D < 0."""
     r = np.linspace(0.0, 1.0, 129)
     s = np.linspace(0.0, s_ceiling, 17)
     rr, ss = np.meshgrid(r, s, indexing="ij")
-    dr = 1e-6
-    h_r = (np.asarray(c.h(np.clip(rr + dr, 0, 1), ss), dtype=float)
-           - np.asarray(c.h(np.clip(rr - dr, 0, 1), ss), dtype=float))
-    h_r /= (np.clip(rr + dr, 0, 1) - np.clip(rr - dr, 0, 1))
-    lip_h = float(np.max(np.abs(h_r)))
+    d = np.broadcast_to(np.asarray(c.D(rr, ss), dtype=float), rr.shape)
+    if (d < -1e-12).any():      # backward diffusion: no step can resolve it
+        i = np.unravel_index(np.nanargmin(d), d.shape)
+        raise InputError(f"diffusion coefficient D of {c.name!r} is negative: "
+                         f"D({rr[i]:.6g}, {ss[i]:.6g}) = {d[i]:.6g}")
+    r_up, r_down = np.clip(rr + 1e-6, 0, 1), np.clip(rr - 1e-6, 0, 1)
+    h_r = (np.asarray(c.h(r_up, ss), dtype=float)
+           - np.asarray(c.h(r_down, ss), dtype=float)) / (r_up - r_down)
     ds = 1e-6 * max(1.0, s_ceiling)
     g_s = (np.asarray(c.g(rr, ss + ds), dtype=float)
            - np.asarray(c.g(rr, ss), dtype=float)) / ds
-    gs_max = float(np.max(np.abs(g_s)))
-    return lip_h, gs_max
+    return float(np.max(np.abs(h_r))), float(np.max(np.abs(g_s)))
 
 
 def _s_ceiling(v_max: float) -> float:
@@ -161,16 +157,14 @@ def _s_ceiling(v_max: float) -> float:
 
 
 def cfl_dt(state: State, grid: Grid1D, c_eps: CoefficientSet, cfg: SolverConfig) -> float:
-    """Stable step of the explicit stage from a harmonic combination of its rates.
+    """Stable step of the explicit stage: dt = cfl / (2 Lh max|v_x|/dx + max|g_s|).
 
-    dt = cfl / (2 Lh max|v_x|/dx + max|g_s| [+ 2/dx^2 explicit v]), capped
-    by dt_max.  The Kirchhoff diffusion of u is taken by backward Euler and
-    puts no bound on dt.  Lh and max|g_s| are taken over [0, 1] x [0, s
-    ceiling], because positivity rests on h(u) <= Lh u; the harmonic form
-    keeps the explicit Courant numbers' sum below cfl, so any cfl <= 1
-    preserves the monotonicity of the donor-cell update.  A state with a
-    non-finite value raises BlowUpError.  Each call sweeps the coefficient
-    bounds afresh; run() sweeps once per v-ceiling and reuses the result.
+    Capped by dt_max.  Both diffusions are backward Euler and bound nothing.
+    Lh and max|g_s| are taken over [0, 1] x [0, s ceiling], because
+    positivity rests on h(u) <= Lh u; the harmonic form keeps the Courant
+    numbers' sum below cfl, so any cfl <= 1 keeps the donor-cell update
+    monotone.  A non-finite state raises BlowUpError.  Each call sweeps the
+    coefficient bounds afresh; run() sweeps once per v-ceiling.
     """
     if not np.isfinite(state.u).all():
         raise BlowUpError(f"non-finite state at t={state.t}")
@@ -180,22 +174,18 @@ def cfl_dt(state: State, grid: Grid1D, c_eps: CoefficientSet, cfg: SolverConfig)
 
 def _dt_from_bounds(v: np.ndarray, t: float, dx: float, bounds: tuple[float, float],
                     cfg: SolverConfig) -> tuple[float, str]:
-    """(dt, what set it: "diffusion" of an explicit v, "advection", "reaction" or "dt_max")."""
+    """(dt, what set it: "advection", "reaction" or "dt_max")."""
     lip_h, gs_max = bounds
     grad_v = float(np.abs(v[1:] - v[:-1]).max()) / dx
     if not math.isfinite(grad_v):       # the differences propagate NaN and inf
         raise BlowUpError(f"non-finite state at t={t}")
     advection = 2.0 * lip_h * grad_v / dx
-    diffusion = 2.0 / dx ** 2 if cfg.v_stepping == "explicit" else 0.0
-    rate = diffusion + advection + gs_max
+    rate = advection + gs_max
     if not (rate > 0 and cfg.cfl / rate <= cfg.dt_max):
         dt, limit = cfg.dt_max, "dt_max"
     else:
         dt = cfg.cfl / rate
-        if diffusion >= max(advection, gs_max):
-            limit = "diffusion"
-        else:
-            limit = "advection" if advection >= gs_max else "reaction"
+        limit = "advection" if advection >= gs_max else "reaction"
     if dt < DT_UNDERFLOW:
         raise StiffnessError(f"dt={dt:.3e} underflowed at t={t}")
     return dt, limit
@@ -228,7 +218,7 @@ def _kirchhoff_flux(w_pair: np.ndarray, s_pair: np.ndarray, dx: float,
 
 
 def _explicit_fluxes(u: np.ndarray, v: np.ndarray, s_pair: np.ndarray, dx: float,
-                     c_eps: CoefficientSet, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+                     c_eps: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
     """(diffusive remainder R, chemotactic flux) at the n-1 interior interfaces.
 
     F^K + R is the Kirchhoff difference of K(u_i, v_i) plus the K_s
@@ -246,12 +236,8 @@ def _explicit_fluxes(u: np.ndarray, v: np.ndarray, s_pair: np.ndarray, dx: float
     rem += co.kirchhoff_s_many(c_eps, 0.5 * (uL + uR), s_bar) * dv
     rem /= dx
 
-    if scheme == "upwind_chemotaxis":
-        donor = np.where(dv > 0.0, uL, uR)
-        h_val = np.asarray(c_eps.h(donor, s_bar), dtype=float)
-    else:
-        h_val = 0.5 * (np.asarray(c_eps.h(uL, s_bar), dtype=float)
-                       + np.asarray(c_eps.h(uR, s_bar), dtype=float))
+    donor = np.where(dv > 0.0, uL, uR)
+    h_val = np.asarray(c_eps.h(donor, s_bar), dtype=float)
     return rem, h_val * dv / dx
 
 
@@ -276,28 +262,6 @@ def _limit_chemo_inflow(u: np.ndarray, diff: np.ndarray, chem: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.where(over, capacity / np.maximum(inflow, 1e-300), 1.0)
     return chem * np.where(chem > 0.0, theta[1:], theta[:-1])
-
-
-def flux_interface(uL: float, uR: float, vL: float, vR: float, dx: float,
-                   c_eps: CoefficientSet, scheme: str = "upwind_chemotaxis") -> float:
-    """Single-interface numerical u-flux (sign: flux of u to the right).
-
-    This is the semi-discrete flux F^K + R + chemotaxis at one state.  The
-    step evaluates F^K at the backward-Euler solution and R and chemotaxis
-    at the state after it, and its saturation limiter additionally scales
-    chemotactic inflows of cells one step would overfill (it needs dt and
-    both neighbor interfaces, so it is not a property of a single
-    interface).
-    """
-    for name, val in (("uL", uL), ("uR", uR)):
-        if not 0.0 <= val <= 1.0:
-            raise InputError(f"{name}={val} outside [0, 1]")
-    if vL < 0 or vR < 0:
-        raise InputError("vL, vR must be nonnegative")
-    u, v = np.array([uL, uR]), np.array([vL, vR])
-    s_pair = np.full(2, 0.5 * (vL + vR))
-    rem, chem = _explicit_fluxes(u, v, s_pair, dx, c_eps, scheme)
-    return float(_kirchhoff_flux(_pairs(u), s_pair, dx, c_eps)[0] + rem[0] + chem[0])
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +316,9 @@ def _implicit_kirchhoff(u: np.ndarray, s_pair: np.ndarray, dt: float, dx: float,
 
 
 def _advance_v(u: np.ndarray, v: np.ndarray, dt: float, dx: float,
-               c: CoefficientSet, mode: str) -> np.ndarray:
+               c: CoefficientSet) -> np.ndarray:
+    """Backward-Euler diffusion of v with explicit reaction, no-flux mirror ghosts."""
     reaction = np.asarray(c.g(u, v), dtype=float)
-    if mode == "explicit":
-        lap = np.empty_like(v)
-        lap[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
-        lap[0] = v[1] - v[0]          # mirror ghost (no-flux)
-        lap[-1] = v[-2] - v[-1]
-        return v + dt * (lap / dx ** 2 + reaction)
     a = dt / dx ** 2
     n = v.size
     off = np.full(n - 1, -a)
@@ -402,14 +361,13 @@ def step(state: State, grid: Grid1D, c: CoefficientSet, cfg: SolverConfig,
     s_pair = np.concatenate((s_bar, s_bar))      # frozen at both cells of an interface
     kirchhoff, iterations = _implicit_kirchhoff(u, s_pair, dt, dx, c_eps, t)
     u_d = _flux_update(u, kirchhoff, coeff)
-    rem, chem = _explicit_fluxes(u_d, v, s_pair, dx, c_eps, cfg.flux_scheme)
-    if cfg.flux_scheme == "upwind_chemotaxis":
-        chem = _limit_chemo_inflow(u_d, rem, chem, dt, dx)
+    rem, chem = _explicit_fluxes(u_d, v, s_pair, dx, c_eps)
+    chem = _limit_chemo_inflow(u_d, rem, chem, dt, dx)
     u_new = _flux_update(u_d, rem + chem, coeff)
     if cfg.debug_boundary_leak:
         u_new[0] += coeff * cfg.debug_boundary_leak
 
-    v_new = _advance_v(u, v, dt, dx, c_eps, cfg.v_stepping)
+    v_new = _advance_v(u, v, dt, dx, c_eps)
     # one set of reductions serves both checks: min/max propagate NaN and inf
     u_min, u_max, v_min, v_max = u_new.min(), u_new.max(), v_new.min(), v_new.max()
     if not all(map(math.isfinite, (u_min, u_max, v_min, v_max))):

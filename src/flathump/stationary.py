@@ -797,6 +797,14 @@ def lambda_interval_from_slopes(c: CoefficientSet, gb: GammaBeta) -> tuple[float
     return float(r_star), (float(lo), float(hi))
 
 
+def canonical_params() -> PhaseParams:
+    """Example-C at gamma/beta = 3 with lam at 0.035 of the slope interval: the
+    canonical setup, whose shallow hump keeps the edge-cell kink mild."""
+    c3 = co.with_reaction(co.preset("example-C"), GammaBeta(3.0, 1.0))
+    _, (lo, hi) = lambda_interval_from_slopes(c3, c3.linear_reaction)
+    return find_crossings(c3, lo + 0.035 * (hi - lo))
+
+
 def density_bounds_from_mass(c: CoefficientSet, gb: GammaBeta, mass_m: float,
                              domain_size: float) -> tuple[float, float]:
     """A priori density bounds for stationary states of prescribed mass.

@@ -3,12 +3,6 @@ import pytest
 from flathump import coefficients as co
 from flathump import stationary as st
 
-# canonical stationary setup used across tests: the closing worked example
-# at gamma/beta = 3, offset placed low in the slope-matching interval (the
-# shallow hump keeps the edge-cell kink mild, which the relaxation drift
-# criterion needs)
-LAMBDA_FRACTION = 0.035
-
 
 @pytest.fixture(scope="session")
 def preset_a():
@@ -26,20 +20,20 @@ def preset_c():
 
 
 @pytest.fixture(scope="session")
-def preset_c3():
-    return co.with_reaction(co.preset("example-C"), co.GammaBeta(3.0, 1.0))
+def canonical_params():
+    # the canonical stationary setup used across tests
+    return st.canonical_params()
+
+
+@pytest.fixture(scope="session")
+def preset_c3(canonical_params):
+    return canonical_params.coeffs
 
 
 @pytest.fixture(scope="session")
 def slope_interval(preset_c3):
     r_star, interval = st.lambda_interval_from_slopes(preset_c3, preset_c3.linear_reaction)
     return r_star, interval
-
-
-@pytest.fixture(scope="session")
-def canonical_params(preset_c3, slope_interval):
-    _, (lo, hi) = slope_interval
-    return st.find_crossings(preset_c3, lo + LAMBDA_FRACTION * (hi - lo))
 
 
 @pytest.fixture(scope="session")

@@ -135,6 +135,13 @@ class TestSimulate:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_negative_diffusion_exits_2(self, tmp_path, capsys):
+        # backward diffusion is a config error named as such, not a Newton failure
+        cfg_path = write_cfg(tmp_path, "sim.cfg", SIM_CFG.replace(
+            "preset = example-A", "coefficients.D = 0.5 - r\ncoefficients.h = r * (1 - r)"))
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "diffusion coefficient D" in capsys.readouterr().err
+
     def test_newton_failure_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pde, "NEWTON_MAX_ITER", 1)
         cfg_path = write_cfg(tmp_path, "sim.cfg", SIM_CFG)
@@ -244,6 +251,11 @@ def test_malformed_input_exits_2(tmp_path, key, value):
 @pytest.mark.parametrize("lines, named", [
     ("sovler.eps = -5\nsolver.t_edn = 0.01\ngrid.n = 32\n", "sovler.eps"),
     ("coefficients.D = (1 - r)^2\n", "preset"),
+    # the solver has one chemotactic flux and one v-update
+    pytest.param("solver.flux_scheme = central\n", "unknown config key(s) 'solver.flux_scheme'",
+                 id="flux_scheme"),
+    pytest.param("solver.v_stepping = explicit\n", "unknown config key(s) 'solver.v_stepping'",
+                 id="v_stepping"),
 ])
 def test_unknown_or_conflicting_key_exits_2(tmp_path, lines, named):
     cfg_path = write_cfg(tmp_path, "bad.cfg", SIM_CFG + lines)

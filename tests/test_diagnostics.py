@@ -144,7 +144,6 @@ class TestEpsStudy:
         u0 = pde.profile_bump(grid)
         v0 = pde.profile_constant(grid, 0.5)
         cfg = pde.SolverConfig(eps=0.3, dt_max=5e-3, cfl=0.3, t_end=0.02,
-                               flux_scheme="central", v_stepping="explicit",
                                abort_on_violation=False, debug_boundary_leak=1e-3)
         seen = []
         real_run = pde.run

@@ -33,31 +33,32 @@ class TestGrid:
 
 
 class TestFluxInterface:
+    @staticmethod
+    def _fluxes(uL, uR, vL, vR, dx, c_eps):
+        # (F^K, R, chemotaxis) at one interface, from the helpers the step uses
+        u, v = np.array([uL, uR]), np.array([vL, vR])
+        s_pair = np.full(2, 0.5 * (vL + vR))
+        rem, chem = pde._explicit_fluxes(u, v, s_pair, dx, c_eps)
+        return pde._kirchhoff_flux(pde._pairs(u), s_pair, dx, c_eps)[0], rem[0], chem[0]
+
     def test_no_gradients_no_flux(self, preset_a):
         c = co.regularize(preset_a, 1e-3)
-        assert pde.flux_interface(0.4, 0.4, 0.7, 0.7, 0.1, c) == 0.0
+        assert self._fluxes(0.4, 0.4, 0.7, 0.7, 0.1, c) == (0.0, 0.0, 0.0)
 
     def test_saturated_cells_have_no_chemotaxis(self, preset_a, preset_b):
-        # h(1, s) = 0, so upwind and central agree at u = 1 on both sides
+        # h(1, s) = 0, so the donor flux vanishes at u = 1 on both sides
         for c in (preset_a, preset_b):
-            up = pde.flux_interface(1.0, 1.0, 0.2, 0.9, 0.1, c, "upwind_chemotaxis")
-            ce = pde.flux_interface(1.0, 1.0, 0.2, 0.9, 0.1, c, "central")
-            assert up == pytest.approx(ce, abs=1e-15)
+            assert self._fluxes(1.0, 1.0, 0.2, 0.9, 0.1, c)[2] == pytest.approx(0.0, abs=1e-15)
         # s-independent diffusion: the flux vanishes entirely
-        assert pde.flux_interface(1.0, 1.0, 0.2, 0.9, 0.1, preset_b) == pytest.approx(0.0, abs=1e-15)
+        assert self._fluxes(1.0, 1.0, 0.2, 0.9, 0.1, preset_b) == pytest.approx((0.0,) * 3, abs=1e-15)
 
     def test_pure_diffusion_against_quadrature(self, preset_b):
-        # vL = vR kills the chemotactic part; the Kirchhoff difference must
-        # match direct quadrature of D
-        val = pde.flux_interface(0.2, 0.4, 0.5, 0.5, 0.1, preset_b)
+        # vL = vR kills the chemotactic part and R; the Kirchhoff difference
+        # must match direct quadrature of D
+        kirchhoff, rem, chem = self._fluxes(0.2, 0.4, 0.5, 0.5, 0.1, preset_b)
+        assert rem == chem == 0.0
         integral, _ = quad(lambda r: float(preset_b.D(r, 0.5)), 0.2, 0.4, epsabs=1e-13)
-        assert val == pytest.approx(-integral / 0.1, rel=1e-12)
-
-    def test_input_validation(self, preset_b):
-        with pytest.raises(InputError):
-            pde.flux_interface(-0.1, 0.5, 0.0, 0.0, 0.1, preset_b)
-        with pytest.raises(InputError):
-            pde.flux_interface(0.1, 0.5, -1.0, 0.0, 0.1, preset_b)
+        assert kirchhoff == pytest.approx(-integral / 0.1, rel=1e-12)
 
 
 class TestCflDt:
@@ -106,20 +107,30 @@ class TestCflDt:
         # the rule's one-sided difference at r = 0 reads Lip(h) low by ~2e-6
         assert dt == pytest.approx(0.45 / (2.0 * lip_h * grad_v / grid.dx + 1.0), rel=1e-5)
 
-    @pytest.mark.parametrize("v_stepping", ["implicit", "explicit"])
-    def test_dt_is_the_explicit_rate(self, preset_a, v_stepping):
-        # dt = cfl / (2 Lip(h) max|v_x| / dx + max|g_s| [+ 2/dx^2 explicit v])
+    def test_dt_is_the_explicit_rate(self, preset_a):
+        # dt = cfl / (2 Lip(h) max|v_x| / dx + max|g_s|), capped by dt_max
         c = co.regularize(preset_a, 1e-3)
         grid = pde.Grid1D(64, 4.0)
         rng = np.random.default_rng(1)
         state = pde.State(rng.uniform(0, 1, 64), rng.uniform(0, 1, 64))
-        cfg = make_cfg(dt_max=10.0, v_stepping=v_stepping)
+        cfg = make_cfg(dt_max=10.0)
         rate = self._explicit_rate(c, state, grid)
-        if v_stepping == "explicit":
-            rate += 2.0 / grid.dx ** 2
         assert pde.cfl_dt(state, grid, c, cfg) == cfg.cfl / rate
-        capped = make_cfg(dt_max=0.5 * cfg.cfl / rate, v_stepping=v_stepping)
+        capped = make_cfg(dt_max=0.5 * cfg.cfl / rate)
         assert pde.cfl_dt(state, grid, c, capped) == capped.dt_max
+
+    def test_negative_d_is_an_input_error(self):
+        # D = 0.5 - r is backward diffusion above r = 0.5: the bounds sweep
+        # names the most negative node instead of letting Newton fail
+        c = co.from_expressions("neg", D="0.5 - r", h="r*(1-r)", g="r-s")
+        grid = pde.Grid1D(32, 4.0)
+        u0 = pde.profile_bump(grid)
+        with pytest.raises(InputError, match=r"D\(1, 0\) = -0\.499"):
+            pde.run(u0, u0.copy(), grid, c, make_cfg(t_end=0.01))
+        # the presets vanish at u = 1 without going negative, at eps = 0 too
+        for name in ("example-A", "example-B", "example-C", "example-D"):
+            for ceiling in (1.0, 2.0, 64.0):
+                pde._coefficient_bounds(co.preset(name), ceiling)
 
     @pytest.mark.parametrize("band", [(0.0, 1.0), (0.9, 1.0)], ids=["full", "narrow"])
     def test_dt_does_not_depend_on_d(self, band):
@@ -280,7 +291,7 @@ class TestImplicitVSolve:
         rng = np.random.default_rng(8)
         u = rng.uniform(0, 1, n)
         v = rng.uniform(0, 2, n)
-        got = pde._advance_v(u, v, dt, dx, preset_a, "implicit")
+        got = pde._advance_v(u, v, dt, dx, preset_a)
         rhs = v + dt * np.asarray(preset_a.g(u, v), dtype=float)
         want = np.linalg.solve(self._dense_matrix(n, dt / dx ** 2), rhs)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
@@ -289,7 +300,7 @@ class TestImplicitVSolve:
         c = co.from_expressions("no-reaction", D="1", h="0", g="0")
         u = np.linspace(0.0, 1.0, 40)
         v = np.full(40, 0.7)
-        out = pde._advance_v(u, v, 0.5, 0.1, c, "implicit")
+        out = pde._advance_v(u, v, 0.5, 0.1, c)
         assert np.abs(out - 0.7).max() <= 1e-14
 
 
@@ -437,32 +448,6 @@ class TestRun:
         cfg = make_cfg(t_end=0.1, debug_boundary_leak=0.01)
         _, report = pde.run(u0, v0, grid, preset_a, cfg, sample_times=[0.1])
         assert report.mass_drift > 1e-6
-
-    def test_explicit_v_stepping_agrees_with_implicit(self, preset_a):
-        grid = pde.Grid1D(128, 10.0)
-        u0 = pde.profile_bump(grid)
-        v0 = pde.profile_constant(grid, 0.5)
-        runs = {}
-        for mode in ("implicit", "explicit"):
-            snaps, report = pde.run(u0, v0, grid, preset_a,
-                                    make_cfg(t_end=0.2, v_stepping=mode),
-                                    sample_times=[0.2])
-            assert report.mass_drift <= 1e-11
-            assert min(report.v_min) >= -1e-10
-            runs[mode] = snaps[-1]
-        dv = np.abs(runs["implicit"].v - runs["explicit"].v).max()
-        assert dv <= 5e-3   # same solution up to the time-discretization gap
-
-    def test_central_scheme_conserves_mass(self, preset_b):
-        # no invariant-region claim for the central flux, but conservation
-        # and smooth-data sanity must hold
-        grid = pde.Grid1D(128, 10.0)
-        u0 = pde.profile_bump(grid, base=0.2, amplitude=0.5)
-        v0 = pde.profile_constant(grid, 0.5)
-        _, report = pde.run(u0, v0, grid, preset_b,
-                            make_cfg(t_end=0.2, flux_scheme="central"),
-                            sample_times=[0.2])
-        assert report.mass_drift <= 1e-11
 
 
 class TestConvergence:
