@@ -64,8 +64,8 @@ def write_snapshot(path: str, x: np.ndarray, u: np.ndarray, v: np.ndarray, *,
 
 def write_phase_portrait(path: str, params: stationary.PhaseParams,
                          orbit: stationary.PhaseOrbit) -> None:
-    """About 2,048 samples of a phase orbit: columns x, v, w and energy."""
-    stride = max(1, orbit.v.size // 2048)
+    """At most 2,048 samples of a phase orbit: columns x, v, w and energy."""
+    stride = -(-orbit.v.size // 2048)
     energies = np.array([stationary.energy(params, orbit.v[i], orbit.w[i])
                          for i in range(0, orbit.v.size, stride)])
     write_columns(path, ("x", "v", "w", "energy"),

@@ -167,6 +167,9 @@ class TestStationary:
         assert code == 0
         for name in ("profile.csv", "parameters.csv", "phase_portrait.csv"):
             assert os.path.exists(os.path.join(out, name))
+        with open(os.path.join(out, "phase_portrait.csv"), encoding="utf-8") as fh:
+            rows = sum(1 for line in fh) - 2        # metadata and header lines
+        assert 1024 < rows <= 2048
         text = open(os.path.join(out, "parameters.csv"), encoding="utf-8").read()
         for key in ("lambda", "v_sat", "rho_saddle", "rho_center", "x1",
                     "length", "residual_flux", "residual_v", "energy_margin"):
@@ -201,8 +204,19 @@ stationary.lambda = -2.0
                          "--out", str(tmp_path / "o")]) == 5
 
 
+def run_cli(capsys, command, cfg_path, out):
+    """The CLI in this process: (exit code, stdout, stderr).
+
+    An exception that escapes ``cli.main`` fails the calling test.
+    """
+    code = cli.main([command, "--config", cfg_path, "--out", out])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def run_cli_process(command, cfg_path, out):
-    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    """The CLI in a fresh interpreter, through the ``python -m`` entry point,
+    so a traceback would reach stderr."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -217,14 +231,14 @@ def run_cli_process(command, cfg_path, out):
     ("stationary", "stationary.v0", "length:abc"),
     ("stationary", "stationary.v0", "align:abc:16"),
 ])
-def test_malformed_number_in_spec_exits_2(tmp_path, command, key, spec):
+def test_malformed_number_in_spec_exits_2(tmp_path, capsys, command, key, spec):
     # the appended line overrides the base config's value for the key
     base = SIM_CFG if command == "simulate" else STAT_CFG
     cfg_path = write_cfg(tmp_path, "bad.cfg", f"{base}\n{key} = {spec}\n")
-    proc = run_cli_process(command, cfg_path, str(tmp_path / "o"))
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stdout + proc.stderr
-    assert key in proc.stderr
+    code, out, err = run_cli(capsys, command, cfg_path, str(tmp_path / "o"))
+    assert code == 2, err
+    assert "Traceback" not in out + err
+    assert key in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -237,15 +251,15 @@ def test_malformed_number_in_spec_exits_2(tmp_path, command, key, spec):
     ("initial.v", "random:inf"),
     ("coefficients.D", "(0-8)^(1/3) * (1 - r)"),        # complex constant part
 ])
-def test_malformed_input_exits_2(tmp_path, key, value):
+def test_malformed_input_exits_2(tmp_path, capsys, key, value):
     (tmp_path / "nan.csv").write_text("x,u,v\n" + "0.1,abc,0.5\n" * 64, encoding="utf-8")
     (tmp_path / "ragged.csv").write_text("x,u,v\n0.1,0.5\n", encoding="utf-8")
     base = SIM_CFG.replace("preset = example-A", "coefficients.h = r * (1 - r)^2") \
         if key.startswith("coefficients.") else SIM_CFG
     cfg_path = write_cfg(tmp_path, "bad.cfg", f"{base}\n{key} = {value.format(tmp=tmp_path)}\n")
-    proc = run_cli_process("simulate", cfg_path, str(tmp_path / "o"))
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stdout + proc.stderr
+    code, out, err = run_cli(capsys, "simulate", cfg_path, str(tmp_path / "o"))
+    assert code == 2, err
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("lines, named", [
@@ -257,12 +271,15 @@ def test_malformed_input_exits_2(tmp_path, key, value):
     pytest.param("solver.v_stepping = explicit\n", "unknown config key(s) 'solver.v_stepping'",
                  id="v_stepping"),
 ])
-def test_unknown_or_conflicting_key_exits_2(tmp_path, lines, named):
+def test_unknown_or_conflicting_key_exits_2(tmp_path, capsys, lines, named):
     cfg_path = write_cfg(tmp_path, "bad.cfg", SIM_CFG + lines)
-    proc = run_cli_process("simulate", cfg_path, str(tmp_path / "o"))
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stdout + proc.stderr
-    assert named in proc.stderr
+    code, out, err = run_cli(capsys, "simulate", cfg_path, str(tmp_path / "o"))
+    assert code == 2, err
+    assert "Traceback" not in out + err
+    assert named in err
+
+
+# one subprocess test per command keeps `python -m flathump.cli` covered
 
 
 def test_overflowing_coefficient_expression_exits_2(tmp_path):

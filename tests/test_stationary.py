@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from flathump import coefficients as co
@@ -165,6 +164,8 @@ class TestOrbit:
         assert orbit.x1 is None
         assert orbit.v.max() < p.v_sat
         assert orbit.period == pytest.approx(st.orbit_period_oracle(p, v0), rel=1e-6)
+        rhs = st._rhs_fn(p)
+        assert np.abs(orbit.a - [rhs(v) for v in orbit.v]).max() <= 1e-12
 
     def test_plateau_above_the_ceiling_barrier_rejected(self, canonical_params):
         # an energy over the ceiling barrier leaves no closed plateau
@@ -196,12 +197,45 @@ class TestOrbit:
                 v, w, a = st._composed_step(rhs, v, w, a, h)
                 assert (v, w, a) == (expected_v, expected_w, expected_a)
 
+    def test_keeps_the_force_of_every_sample(self, canonical_profiles, canonical_params):
+        # a = v'' is rhs(v) from the integrator on the rise and the closed
+        # form beta (v - q) on the plateau
+        p = canonical_params
+        rhs = st._rhs_fn(p)
+        orbit = canonical_profiles[1024].orbit
+        plateau = (orbit.x >= orbit.x1) & (orbit.x <= orbit.period - orbit.x1)
+        assert 0 < plateau.sum() < orbit.x.size
+        rise = np.array([rhs(v) for v in orbit.v[~plateau]])
+        assert np.abs(orbit.a[~plateau] - rise).max() <= 1e-12
+        top = p.gb.beta * (orbit.v[plateau] - p.q)
+        assert np.abs(orbit.a[plateau] - top).max() <= 1e-12
+        assert np.array_equal(orbit.a, orbit.a[::-1])
+
     def test_precondition_violations(self, canonical_params):
         p = canonical_params
         with pytest.raises(InputError):
             st.integrate_orbit(p, p.rho_center * 1.0001)
         with pytest.raises(InputError):
             st.integrate_orbit(p, p.rho_saddle * 0.5)
+
+
+class TestQuinticHermite:
+    def test_reproduces_a_quintic(self):
+        poly = np.polynomial.Polynomial([0.3, -1.2, 0.7, 2.1, -0.9, 0.4])
+        knots = np.sort(np.random.default_rng(5).uniform(-1.0, 2.0, 9))
+        x = np.linspace(knots[0], knots[-1], 1001)
+        got = st._quintic_hermite(knots, poly(knots), poly.deriv(1)(knots),
+                                  poly.deriv(2)(knots), x)
+        assert np.abs(got - poly(x)).max() <= 1e-12
+
+    def test_error_falls_at_sixth_order(self):
+        x = np.linspace(0.0, 2.0 * math.pi, 4001)
+        errors = []
+        for n in (8, 16, 32, 64):
+            knots = np.linspace(0.0, 2.0 * math.pi, n + 1)
+            got = st._quintic_hermite(knots, np.cos(knots), -np.sin(knots), -np.cos(knots), x)
+            errors.append(np.abs(got - np.cos(x)).max())
+        assert all(a / b >= 32.0 for a, b in zip(errors, errors[1:])), errors
 
 
 class TestConstruction:
@@ -261,20 +295,23 @@ class TestConstruction:
         assert prof.orbit.v0 == aligned_v0
         assert prof.orbit.period == prof.length
         again = st.integrate_orbit(canonical_params, aligned_v0)
-        for name in ("x", "v", "w"):
+        for name in ("x", "v", "w", "a"):
             assert np.array_equal(getattr(prof.orbit, name), getattr(again, name))
 
-    def test_leaves_no_spline_for_the_collector(self, canonical_params, aligned_v0):
-        # each orbit's Hermite spline (4 MB at the default resolution) must
-        # be freed by reference counting, not wait in a reference cycle
+    def test_leaves_no_orbit_array_in_cyclic_garbage(self, canonical_params, aligned_v0):
+        # the orbit arrays (0.8 MB at the default resolution) must be freed
+        # by reference counting, not wait in a reference cycle
         gc.collect()
-        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            st.construct_flat_hump(canonical_params, aligned_v0, 256)
-            leftover = sum(isinstance(obj, CubicHermiteSpline) for obj in gc.get_objects())
+            size = st.construct_flat_hump(canonical_params, aligned_v0, 256).orbit.x.size
+            gc.collect()
+            held = [obj for cyclic in gc.garbage for obj in (cyclic, *gc.get_referents(cyclic))
+                    if isinstance(obj, np.ndarray) and obj.size >= size]
         finally:
-            gc.enable()
-        assert leftover == 0
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert held == []
 
     def test_discrete_h1_norm_stabilizes(self, canonical_profiles):
         # the integrability condition holds for the closing example, so the
