@@ -7,6 +7,8 @@ and keeps, per case directory, every file the command wrote plus its
 captured ``stdout.txt`` and ``exit_code.txt``:
 
     simulate_bump            simulate on configs/simulate_bump.cfg
+    simulate_custom          simulate on configs/simulate_custom.cfg: the same
+                             run with example-A given as expressions
     stationary_c             stationary on configs/stationary_c.cfg
     stationary_c_v0_auto     the same with stationary.v0 = auto
     stationary_c_v0_length   the same with stationary.v0 = length:12
@@ -36,6 +38,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
 # (case, command, config file, lines appended to it; later keys win)
 CASES = [
     ("simulate_bump", "simulate", "simulate_bump.cfg", ""),
+    ("simulate_custom", "simulate", "simulate_custom.cfg", ""),
     ("stationary_c", "stationary", "stationary_c.cfg", ""),
     ("stationary_c_v0_auto", "stationary", "stationary_c.cfg", "stationary.v0 = auto\n"),
     ("stationary_c_v0_length", "stationary", "stationary_c.cfg", "stationary.v0 = length:12\n"),

@@ -38,6 +38,7 @@ from .errors import DivergenceError, InputError, RangeError, StructuralError
 
 QUAD_ABS_TOL = 1e-12
 INVERT_REL_TOL = 1e-13
+KIRCHHOFF_NODES = 24      # Gauss-Legendre nodes when D is not a polynomial in r
 
 Func2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Func1 = Callable[[np.ndarray], np.ndarray]
@@ -94,6 +95,7 @@ class CoefficientSet:
     antiderivative_D: Optional[Func2] = None      # Kirchhoff transform of the *unshifted* D
     antiderivative_D_s: Optional[Func2] = None    # its partial derivative in s
     linear_reaction: Optional[GammaBeta] = None   # set when g is exactly gamma*r - beta*s
+    kirchhoff_nodes: int = KIRCHHOFF_NODES        # Gauss-Legendre rule of kirchhoff_many
 
     def __str__(self) -> str:
         return self.name
@@ -146,15 +148,18 @@ def kirchhoff_s(c: CoefficientSet, r: float, s: float) -> float:
 def kirchhoff_many(c: CoefficientSet, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Vectorized Kirchhoff transform used by the solver's flux loop.
 
-    Closed form when registered; otherwise a fixed 24-point Gauss-Legendre
-    rule per entry, which is exact to ~1e-14 for the smooth coefficients the
-    expression grammar can produce.
+    Closed form when registered; otherwise a Gauss-Legendre rule of
+    ``c.kirchhoff_nodes`` points per entry.  :func:`from_expressions` picks
+    the smallest rule exact for a D that is a polynomial in r (k points
+    integrate degree 2k - 1 exactly), so such a K is exact to roundoff.  Any
+    other D gets KIRCHHOFF_NODES points, whose error depends on D's
+    smoothness, and costs a (size x KIRCHHOFF_NODES) array per call.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     if c.antiderivative_D is not None:
         return np.asarray(c.antiderivative_D(r, s), dtype=float) + c.eps * r
-    nodes, weights = _gauss_legendre_cache()
+    nodes, weights = _gauss_legendre_cache(c.kirchhoff_nodes)
     # map nodes from (-1, 1) onto (0, r_i) for every entry; includes any eps
     # shift since c.D already carries it
     half = 0.5 * r
@@ -166,7 +171,7 @@ def kirchhoff_many(c: CoefficientSet, r: np.ndarray, s: np.ndarray) -> np.ndarra
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _gauss_legendre_cache(n: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre_cache(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _GL_CACHE:
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
@@ -187,7 +192,8 @@ def kirchhoff_s_many(c: CoefficientSet, r: np.ndarray, s: np.ndarray) -> np.ndar
 def regularize(c: CoefficientSet, eps: float) -> CoefficientSet:
     """Shift the diffusion coefficient by ``eps`` (uniform parabolicity).
 
-    h and g are unchanged; the Kirchhoff transform gains exactly eps * r.
+    h and g are unchanged; the Kirchhoff transform gains exactly eps * r,
+    and D's degree in r (so its Gauss-Legendre rule) is unchanged.
     """
     if not eps > 0.0:
         raise InputError(f"eps={eps} must be positive")
@@ -734,7 +740,9 @@ def from_expressions(name: str, *, D: str, h: str, g: str, kappa: float = 0.0,
     When all four factor strings are given, the set is marked separable and
     the stationary machinery applies (factor consistency is checked by
     :func:`check_conditions`, their structure by
-    :func:`check_separable_structure`).
+    :func:`check_separable_structure`).  A D of degree p in r gets the
+    (p + 2) // 2-point Gauss-Legendre Kirchhoff rule, exact for it, capped
+    at KIRCHHOFF_NODES; any other D gets KIRCHHOFF_NODES points.
     """
     from .expressions import parse_expression
 
@@ -749,5 +757,8 @@ def from_expressions(name: str, *, D: str, h: str, g: str, kappa: float = 0.0,
             h1=lambda r: fh1(r, 0.0), h2=lambda s: fh2(0.0, s))
     elif any(x is not None for x in (D1, D2, h1, h2)):
         raise InputError("separable factors require all four of D1, D2, h1, h2")
-    return CoefficientSet(name, parse_expression(D), parse_expression(h),
-                          parse_expression(g), kappa=kappa, separable=sep)
+    fD = parse_expression(D)
+    p = fD.r_degree
+    nodes = KIRCHHOFF_NODES if p is None else min(KIRCHHOFF_NODES, (p + 2) // 2)
+    return CoefficientSet(name, fD, parse_expression(h), parse_expression(g), kappa=kappa,
+                          separable=sep, kirchhoff_nodes=nodes)

@@ -6,6 +6,15 @@ literals, and the variables ``r`` and ``s``.  Compiled callables broadcast
 over numpy arrays.  Anything outside this grammar is rejected, so config
 files cannot execute arbitrary code.  Literals compile as floats (an integer
 exponent stays exact), so ``9^9^9`` overflows instead of growing without bound.
+
+Each compiled callable carries ``expression`` (the source text) and
+``r_degree``: the degree in ``r`` of a polynomial in ``r`` with ``s`` held
+fixed, read from the AST, or ``None`` when the expression is not one.  A
+constant or ``s`` has degree 0 and ``r`` degree 1; ``+`` and ``-`` take the
+max, ``*`` the sum; ``/`` keeps the numerator's degree over a denominator
+of degree 0; ``^`` by a nonnegative integer literal multiplies the degree;
+``exp``, ``log`` and ``^`` of degree-0 operands have degree 0.  The
+degree is an upper bound, so ``(r + 1) - r`` reads 1.
 """
 
 from __future__ import annotations
@@ -54,6 +63,34 @@ def _validate(node: ast.AST, text: str) -> None:
         raise InputError(f"unsupported syntax in {text!r}")
 
 
+def _r_degree(node: ast.AST) -> int | None:
+    """Degree in r of a validated expression, or None if not a polynomial in r."""
+    if isinstance(node, ast.Expression):
+        return _r_degree(node.body)
+    if isinstance(node, ast.Constant):
+        return 0
+    if isinstance(node, ast.Name):
+        return 1 if node.id == "r" else 0
+    if isinstance(node, ast.UnaryOp):
+        return _r_degree(node.operand)
+    if isinstance(node, ast.Call):
+        return 0 if _r_degree(node.args[0]) == 0 else None
+    left = _r_degree(node.left)
+    if isinstance(node.op, ast.Pow):
+        power = node.right
+        if isinstance(power, ast.Constant) and type(power.value) is int and power.value >= 0:
+            return None if left is None else left * power.value
+        return 0 if left == 0 and _r_degree(power) == 0 else None
+    right = _r_degree(node.right)
+    if left is None or right is None:
+        return None
+    if isinstance(node.op, ast.Mult):
+        return left + right
+    if isinstance(node.op, ast.Div):
+        return left if right == 0 else None
+    return max(left, right)
+
+
 def parse_expression(text: str) -> Callable[..., np.ndarray]:
     """Compile ``text`` into ``f(r, s)``; either variable may be unused."""
     source = text.replace("^", "**")
@@ -82,4 +119,5 @@ def parse_expression(text: str) -> Callable[..., np.ndarray]:
         return out
 
     func.expression = text  # type: ignore[attr-defined]
+    func.r_degree = _r_degree(tree)  # type: ignore[attr-defined]
     return func

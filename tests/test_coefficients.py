@@ -205,6 +205,45 @@ def test_closed_forms_match_numeric_path(name):
     assert math.isinf(top) == (name == "example-D")
 
 
+PRESET_EXPRESSIONS = {
+    "example-A": ("(1 - r)^2 * (s + 1)", "r * (1 - r)^2 * (s + 1)", 2),
+    "example-B": ("(1 - r)^2", "r * (1 - r)^2 * (s + 1)", 2),
+    "example-C": ("1 - r", "r * (1 - r) * exp(s)", 1),
+    "example-D": ("1 - r", "r * (1 - r)^2", 1),
+}
+
+
+@pytest.mark.parametrize("name", co.preset_names())
+def test_polynomial_d_takes_the_smallest_exact_rule(name):
+    D, h, nodes = PRESET_EXPRESSIONS[name]
+    c = co.from_expressions(name, D=D, h=h, g="r - s")
+    assert c.kirchhoff_nodes == nodes
+    closed = co.preset(name)
+    rr, ss = np.meshgrid(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 4.0, 17), indexing="ij")
+    for expr_set, closed_set in ((c, closed), (co.regularize(c, 1e-3), co.regularize(closed, 1e-3))):
+        assert expr_set.kirchhoff_nodes == nodes
+        np.testing.assert_allclose(co.kirchhoff_many(expr_set, rr, ss),
+                                   co.kirchhoff_many(closed_set, rr, ss), rtol=0, atol=1e-14)
+    assert co.numeric_only(c).kirchhoff_nodes == nodes
+    assert co.with_reaction(c, co.GammaBeta(2.0, 1.0)).kirchhoff_nodes == nodes
+
+
+@pytest.mark.parametrize("D, K, atol", [
+    ("exp(r)", np.expm1, 1e-14),
+    ("1/(1 + r)", np.log1p, 1e-14),
+    ("r^0.5", lambda r: r ** 1.5 / 1.5, 1e-5),      # not smooth at r = 0
+])
+def test_non_polynomial_d_keeps_24_nodes(D, K, atol):
+    c = co.from_expressions("other", D=D, h="0", g="0")
+    assert c.kirchhoff_nodes == 24
+    r = np.linspace(0.0, 1.0, 9)
+    np.testing.assert_allclose(co.kirchhoff_many(c, r, np.zeros_like(r)), K(r), rtol=0, atol=atol)
+
+
+def test_high_degree_is_capped_at_24_nodes():
+    assert co.from_expressions("high", D="r^1000", h="0", g="0").kirchhoff_nodes == 24
+
+
 class TestInverses:
     def test_trivial_anchor(self, preset_c):
         assert co.cell_potential_inv(preset_c, 0.0) == pytest.approx(0.5, abs=1e-13)

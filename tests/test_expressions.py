@@ -51,3 +51,15 @@ def test_integer_literals_evaluate_as_floats():
 def test_failing_constant_rejected(bad):
     with pytest.raises(InputError):
         parse_expression(bad)
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("1.5", 0), ("s", 0), ("r", 1), ("r + s", 1), ("s - r", 1), ("r * r * s", 2),
+    ("-r^3", 3), ("r / (s + 1)", 1), ("r^0", 0), ("exp(s)", 0), ("log(s + 1)", 0),
+    ("s^2.5", 0), ("2^s", 0),
+    ("(1 - r)^2 * (s + 1)", 2), ("r*exp(s)", 1), ("(r+s)^3/2", 3), ("r^1000", 1000),
+    ("r^-1", None), ("exp(r)", None), ("log(r + 1)", None), ("1/(1 + r)", None),
+    ("r^0.5", None), ("r^s", None), ("2^r", None),
+])
+def test_r_degree(text, degree):
+    assert parse_expression(text).r_degree == degree

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,25 @@ class TestStep:
         assert out.u.max() <= 1.0 + 1e-10
         assert out.v.min() >= -1e-10
 
+    def test_polynomial_d_step_stays_small(self):
+        # the exact 2-point Kirchhoff rule of preset A's D keeps every
+        # temporary of a step at n = 1024 under glibc's 128 KiB mmap
+        # threshold, so whether a step page-faults does not depend on what
+        # the process freed before it
+        c = co.from_expressions("A", D="(1 - r)^2 * (s + 1)", h="r * (1 - r)^2 * (s + 1)",
+                                g="r - s")
+        grid = pde.Grid1D(1024, 20.0)
+        x = grid.centers / grid.length
+        state = pde.State(0.5 + 0.3 * np.sin(6 * x), 0.5 + 0.2 * np.cos(6 * x))
+        cfg = make_cfg()
+        pde.step(state, grid, c, cfg)           # warm any lazy caches
+        tracemalloc.start()
+        try:
+            pde.step(state, grid, c, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestKirchhoffStage:
