@@ -38,6 +38,8 @@ class RunReport:
     dt_limits: dict[str, int] = field(default_factory=lambda: dict.fromkeys(DT_LIMITS, 0))
     newton_iterations: int = 0          # Kirchhoff-stage Newton iterations, summed over steps
     newton_iterations_max: int = 0      # and the most taken in one step
+    limiter_cell_steps: int = 0         # cells whose chemotactic inflow was scaled, summed over steps
+    limiter_theta_min: float = 1.0      # the smallest scale factor (1.0: the limiter never fired)
     violations: list[tuple[float, str, float]] = field(default_factory=list)
 
     def record_mass(self, t: float, m: float) -> None:
@@ -85,6 +87,8 @@ class RunReport:
             *((f"dt_set_by_{name}", count) for name, count in self.dt_limits.items()),
             ("newton_iterations", self.newton_iterations),
             ("newton_iterations_max", self.newton_iterations_max),
+            ("limiter_cell_steps", self.limiter_cell_steps),
+            ("limiter_theta_min", self.limiter_theta_min),
             ("n_violations", len(self.violations)),
         ]
         return items

@@ -27,17 +27,32 @@ Explicit stage at u_d.  The remainder of the diffusive flux,
          + K_s(ubar, sbar) (v_R - v_L)) / dx,
 
 vanishes exactly when K does not depend on s.  The chemotactic part
-upwinds the sensitivity in the direction of the v-gradient (donor
-evaluation of h).  On its own that update can push a cell past the
-saturation density when strong gradients feed an almost-full cell (and past
-u = 1 the diffusion coefficient of the model turns negative, so the run
-explodes).  The step therefore scales the chemotactic part of the inflowing
-interfaces of any cell that one step would overfill, by exactly the factor
-that lands it at the ceiling: a conservative flux limiter in the Zhang-Shu
-spirit, not a state clipping.  The capacity is taken after the diffusive
-outflow, 1 - (u_d - (dt/dx) div R), so at a saturated plateau edge the
-chemotactic inflow balances that outflow and the plateau is held rather
-than eroded.
+upwinds the sensitivity in the direction of the v-gradient and evaluates h
+at the donor's minmod face value
+
+    u_i +- (1/2) minmod(u_i - u_{i-1}, u_{i+1} - u_i),
+
+with zero slope in the two end cells (B. van Leer, J. Comput. Phys. 32
+(1979) 101-136; A. Chertock and A. Kurganov, Numer. Math. 111 (2008)
+169-205).  A face value lies between neighbouring averages, so it stays in
+[0, 1], and a cell's two face values sum to 2 u_i.  With h(r) <= Lip(h) r
+the chemotactic outflow of cell i in one step is at most
+(dt/dx) Lip(h) (u_i^- + u_i^+) max|dv|/dx = 2 Lip(h) max|v_x| (dt/dx) u_i,
+the bound the cell average gave, and the CFL rule keeps it below cfl u_i.
+So when D does not depend on s (R = 0) the update keeps u >= 0.  When it
+does, R drains an empty cell next to a cell holding u_R at about
+(K_s(u_R/2, sbar) - K_s(u_R, sbar)/2) dv/dx, a rate the CFL rule does not
+bound, and only the invariant check guards u >= 0.
+
+The chemotactic update can push a cell past the saturation density when
+strong gradients feed an almost-full cell (and past u = 1 the diffusion
+coefficient of the model turns negative, so the run explodes).  The step
+therefore scales the chemotactic part of the inflowing interfaces of any
+cell that one step would overfill, by exactly the factor that lands it at
+the ceiling: a conservative flux limiter in the Zhang-Shu spirit, not a
+state clipping.  The capacity is taken after the diffusive outflow,
+1 - (u_d - (dt/dx) div R), so at a saturated plateau edge the chemotactic
+inflow balances that outflow and the plateau is held rather than eroded.
 
 The v-equation v_t = v_xx + g(u, v) is stepped by backward-Euler diffusion
 with explicit reaction.
@@ -152,8 +167,13 @@ def _coefficient_bounds(c: CoefficientSet, s_ceiling: float) -> tuple[float, flo
 
 
 def _s_ceiling(v_max: float) -> float:
-    # quantized so one sweep is reused while v wanders below the ceiling
-    return float(2.0 ** math.ceil(math.log2(max(v_max, 1e-6)))) if 1.0 < v_max < math.inf else 1.0
+    # v_max rounded up on an eighth-octave grid, so one sweep is reused while
+    # v wanders below the ceiling; the bounds are taken over an s range at
+    # most 2^(1/8) times the one the state has.  A v_max within roundoff of
+    # a grid point keeps its own value.  v <= 1 and non-finite v keep 1.
+    if not 1.0 < v_max < math.inf:
+        return 1.0
+    return max(v_max, 2.0 ** (math.ceil(8.0 * math.log2(v_max) - 1e-9) / 8.0))
 
 
 def cfl_dt(state: State, grid: Grid1D, c_eps: CoefficientSet, cfg: SolverConfig) -> float:
@@ -161,9 +181,13 @@ def cfl_dt(state: State, grid: Grid1D, c_eps: CoefficientSet, cfg: SolverConfig)
 
     Capped by dt_max.  Both diffusions are backward Euler and bound nothing.
     Lh and max|g_s| are taken over [0, 1] x [0, s ceiling], because
-    positivity rests on h(u) <= Lh u; the harmonic form keeps the Courant
-    numbers' sum below cfl, so any cfl <= 1 keeps the donor-cell update
-    monotone.  A non-finite state raises BlowUpError.  Each call sweeps the
+    positivity rests on h(u) <= Lh u.  A cell's two face values sum to
+    2 u_i, so its chemotactic outflow per step is at most
+    dt 2 Lh max|v_x| / dx u_i, and the harmonic form keeps that below
+    cfl u_i.  When D does not depend on s (R = 0), any cfl <= 1 therefore
+    keeps u >= 0.  When it does, R can drain an empty cell at a rate this
+    rule does not bound, and the step's InvariantViolationError is the
+    guard.  A non-finite state raises BlowUpError.  Each call sweeps the
     coefficient bounds afresh; run() sweeps once per v-ceiling.
     """
     if not np.isfinite(state.u).all():
@@ -236,19 +260,36 @@ def _explicit_fluxes(u: np.ndarray, v: np.ndarray, s_pair: np.ndarray, dx: float
     rem += co.kirchhoff_s_many(c_eps, 0.5 * (uL + uR), s_bar) * dv
     rem /= dx
 
-    donor = np.where(dv > 0.0, uL, uR)
+    half_slope = _half_minmod_slope(u)
+    donor = np.where(dv > 0.0, uL + half_slope[:-1], uR - half_slope[1:])
     h_val = np.asarray(c_eps.h(donor, s_bar), dtype=float)
     return rem, h_val * dv / dx
 
 
+def _half_minmod_slope(u: np.ndarray) -> np.ndarray:
+    """Half of each cell's minmod slope, zero in the two end cells.
+
+    u_i +- this value are the cell's face values: each lies between u_i and
+    a neighbouring average, and the two sum to 2 u_i.
+    """
+    half_du = 0.5 * (u[1:] - u[:-1])
+    left, right = half_du[:-1], half_du[1:]
+    half = np.zeros_like(u)
+    # minmod(a, b) is the median of a, b and 0
+    np.maximum(np.minimum(left, np.maximum(right, 0.0)), np.minimum(right, 0.0), out=half[1:-1])
+    return half
+
+
 def _limit_chemo_inflow(u: np.ndarray, diff: np.ndarray, chem: np.ndarray,
-                        dt: float, dx: float) -> np.ndarray:
+                        dt: float, dx: float) -> tuple[np.ndarray, int, float]:
     """Scale chemotactic inflows so no cell exceeds the ceiling u = 1.
 
     Per cell: capacity = 1 - (diffusion-only update); if one step's
     chemotactic inflow exceeds it, every inflowing interface of that cell
-    is scaled by the same factor.  Each interface flux is scaled once (by
-    its receiving cell), so the update stays conservative.
+    is scaled by the same factor theta = capacity / inflow.  Each interface
+    flux is scaled once (by its receiving cell), so the update stays
+    conservative.  Returns the limited flux, the number of scaled cells and
+    the smallest theta (1.0 when none was scaled).
     """
     coeff = dt / dx
     inflow = np.zeros_like(u)
@@ -256,12 +297,13 @@ def _limit_chemo_inflow(u: np.ndarray, diff: np.ndarray, chem: np.ndarray,
     inflow[:-1] += np.maximum(-chem, 0.0)        # leftward flux feeds cell i
     inflow *= coeff
     capacity = np.maximum(1.0 - _flux_update(u, diff, coeff), 0.0)
-    over = inflow > capacity
-    if not over.any():
-        return chem
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(over, capacity / np.maximum(inflow, 1e-300), 1.0)
-    return chem * np.where(chem > 0.0, theta[1:], theta[:-1])
+    over = np.flatnonzero(inflow > capacity)
+    if not over.size:
+        return chem, 0, 1.0
+    theta_over = capacity[over] / inflow[over]      # inflow > capacity >= 0 there
+    theta = np.ones_like(u)
+    theta[over] = theta_over
+    return chem * np.where(chem > 0.0, theta[1:], theta[:-1]), over.size, float(theta_over.min())
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +380,8 @@ class StepInfo:
 
     newton_iterations: int = 0
     v_max: float = 0.0          # max of the new v, from the step's own checks
+    limiter_cells: int = 0      # cells whose chemotactic inflow the limiter scaled
+    limiter_theta_min: float = 1.0      # and the smallest factor it scaled by
 
 
 def step(state: State, grid: Grid1D, c: CoefficientSet, cfg: SolverConfig,
@@ -348,7 +392,8 @@ def step(state: State, grid: Grid1D, c: CoefficientSet, cfg: SolverConfig,
     ``dt`` defaults to the CFL-limited step.  ``eps_applied`` indicates that
     ``c`` already carries the config's regularization (run() passes the
     shifted set once instead of rebuilding it every step).  ``info``, when
-    given, receives the step's Newton iteration count and the new max of v.
+    given, receives the step's Newton iteration count, the new max of v and
+    what the saturation limiter did.
     """
     c_eps = c if eps_applied else apply_eps(c, cfg)
     if dt is None:
@@ -362,7 +407,7 @@ def step(state: State, grid: Grid1D, c: CoefficientSet, cfg: SolverConfig,
     kirchhoff, iterations = _implicit_kirchhoff(u, s_pair, dt, dx, c_eps, t)
     u_d = _flux_update(u, kirchhoff, coeff)
     rem, chem = _explicit_fluxes(u_d, v, s_pair, dx, c_eps)
-    chem = _limit_chemo_inflow(u_d, rem, chem, dt, dx)
+    chem, limited, theta_min = _limit_chemo_inflow(u_d, rem, chem, dt, dx)
     u_new = _flux_update(u_d, rem + chem, coeff)
     if cfg.debug_boundary_leak:
         u_new[0] += coeff * cfg.debug_boundary_leak
@@ -381,6 +426,8 @@ def step(state: State, grid: Grid1D, c: CoefficientSet, cfg: SolverConfig,
     if info is not None:
         info.newton_iterations = iterations
         info.v_max = float(v_max)
+        info.limiter_cells = limited
+        info.limiter_theta_min = theta_min
     return State(u_new, v_new, t)
 
 
@@ -391,8 +438,8 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
     Returns the snapshots (plus the final state if t_end is not already a
     sample time) and a RunReport with the mass history, per-snapshot
     extrema, dt statistics, the count of steps by what set dt
-    (diagnostics.DT_LIMITS), the Newton iteration counts and any tolerated
-    invariant violations.
+    (diagnostics.DT_LIMITS), the Newton iteration counts, what the
+    saturation limiter did and any tolerated invariant violations.
     """
     from .diagnostics import RunReport, mass
 
@@ -442,6 +489,8 @@ def run(u0: np.ndarray, v0: np.ndarray, grid: Grid1D, c: CoefficientSet,
             report.newton_iterations += info.newton_iterations
             report.newton_iterations_max = max(report.newton_iterations_max,
                                                info.newton_iterations)
+            report.limiter_cell_steps += info.limiter_cells
+            report.limiter_theta_min = min(report.limiter_theta_min, info.limiter_theta_min)
             if limit == "truncation":
                 dt_min_cut = min(dt_min_cut, dt)
             else:

@@ -101,6 +101,9 @@ class TestSimulate:
         assert code == 0
         files = sorted(os.listdir(out))
         assert "report.csv" in files
+        with open(os.path.join(out, "report.csv"), encoding="utf-8") as fh:
+            keys = {line.split(",")[0] for line in fh}
+        assert {"limiter_cell_steps", "limiter_theta_min"} <= keys
         snaps = [f for f in files if f.startswith("snapshot_")]
         assert len(snaps) == 2
         head = open(os.path.join(out, snaps[0]), encoding="utf-8").readline()

@@ -62,6 +62,57 @@ class TestFluxInterface:
         assert kirchhoff == pytest.approx(-integral / 0.1, rel=1e-12)
 
 
+class TestFaceValues:
+    def test_face_values_lie_between_neighbouring_averages(self):
+        rng = np.random.default_rng(21)
+        u = rng.uniform(0, 1, 200)
+        half = pde._half_minmod_slope(u)
+        for face, neighbour in ((u[1:-1] + half[1:-1], u[2:]), (u[1:-1] - half[1:-1], u[:-2])):
+            assert np.all(np.minimum(u[1:-1], neighbour) <= face)
+            assert np.all(face <= np.maximum(u[1:-1], neighbour))
+
+    def test_end_cells_and_extrema_have_zero_slope(self):
+        u = np.array([0.2, 0.9, 0.4, 0.5, 0.6, 0.6, 0.1])
+        half = pde._half_minmod_slope(u)
+        assert half[0] == half[-1] == 0.0
+        # a local maximum, a local minimum and a flat neighbour: no slope
+        assert half[1] == half[2] == half[5] == 0.0
+        assert half[3] == pytest.approx(0.05, abs=1e-15)
+
+    def test_linear_data_is_exact_at_interior_faces(self):
+        x = np.arange(16, dtype=float)
+        u = 0.1 + 0.05 * x
+        half = pde._half_minmod_slope(u)
+        np.testing.assert_allclose(u[1:-1] + half[1:-1], 0.1 + 0.05 * (x[1:-1] + 0.5), atol=1e-15)
+        np.testing.assert_allclose(u[1:-1] - half[1:-1], 0.1 + 0.05 * (x[1:-1] - 0.5), atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["example-A", "example-C"])
+    def test_step_keeps_even_data_even(self, name):
+        grid = pde.Grid1D(128, 10.0)
+        x = grid.centers - 0.5 * grid.length
+        state = pde.State(0.2 + 0.7 * np.exp(-x ** 2), 0.5 + 0.4 * np.exp(-(x / 2) ** 2))
+        out = pde.step(state, grid, co.preset(name), make_cfg())
+        assert np.abs(out.u - out.u[::-1]).max() <= 1e-14
+        assert np.abs(out.v - out.v[::-1]).max() <= 1e-14
+
+
+class TestLimiter:
+    def test_scales_an_overfilled_cell(self):
+        # the middle cell holds 0.9 and receives 0.2 from both sides: both
+        # inflows are halved, the outflow of the end cells is untouched
+        u = np.array([0.5, 0.9, 0.5, 0.2])
+        chem = np.array([0.1, -0.1, 0.3])
+        limited, cells, theta_min = pde._limit_chemo_inflow(u, np.zeros(3), chem, 1.0, 1.0)
+        np.testing.assert_allclose(limited, [0.05, -0.05, 0.3], rtol=1e-14)
+        assert cells == 1 and theta_min == pytest.approx(0.5, rel=1e-14)
+
+    def test_idle_limiter_reports_nothing(self):
+        chem = np.array([0.01, -0.01, 0.01])
+        limited, cells, theta_min = pde._limit_chemo_inflow(
+            np.full(4, 0.5), np.zeros(3), chem, 1.0, 1.0)
+        assert limited is chem and (cells, theta_min) == (0, 1.0)
+
+
 class TestCflDt:
     @staticmethod
     def _explicit_rate(c, state, grid):
@@ -146,6 +197,17 @@ class TestCflDt:
         dt = pde.cfl_dt(state, grid, c, cfg)
         assert dt == cfg.cfl / self._explicit_rate(c, state, grid)
         assert pde.cfl_dt(state, grid, big_d, cfg) == dt
+
+    @given(v=hst.floats(1.0, 1e6, exclude_min=True, exclude_max=True))
+    def test_s_ceiling_is_within_an_eighth_octave(self, v):
+        # the bounds are swept over at most 2^(1/8) times the state's s range
+        ceiling = pde._s_ceiling(v)
+        assert v <= ceiling < 2.0 ** 0.125 * v
+        assert pde._s_ceiling(ceiling) == ceiling      # one sweep per grid point
+
+    @pytest.mark.parametrize("v", [-1.0, 0.0, 0.5, 1.0, math.inf, math.nan])
+    def test_s_ceiling_is_one_at_and_below_one(self, v):
+        assert pde._s_ceiling(v) == 1.0
 
     @pytest.mark.parametrize("field", ["u", "v"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -233,6 +295,39 @@ class TestStep:
         assert out.u.min() >= -1e-10
         assert out.u.max() <= 1.0 + 1e-10
         assert out.v.min() >= -1e-10
+
+    @pytest.mark.parametrize("name", ["example-B", "example-C", "example-D"])
+    @given(data=hnp.arrays(float, 32, elements=hst.floats(0.0, 1.0)),
+           chem=hnp.arrays(float, 32, elements=hst.floats(0.0, 6.0)))
+    @settings(max_examples=25, deadline=None)
+    def test_cfl_one_keeps_invariant_region_when_d_ignores_s(self, name, data, chem):
+        # R = 0, so the face-value bound alone keeps u >= 0 at cfl = 1
+        grid = pde.Grid1D(32, 2.0)
+        out = pde.step(pde.State(data.copy(), chem.copy()), grid, co.preset(name),
+                       make_cfg(eps=0.0, cfl=1.0))
+        assert out.u.min() >= -1e-10
+        assert out.u.max() <= 1.0 + 1e-10
+
+    def test_s_dependent_d_is_guarded_by_the_invariant_check(self, preset_a):
+        # preset A's D depends on s: its remainder flux R drains empty cells
+        # at a rate the CFL rule does not bound, so at cfl = 1 some steps on
+        # 0/1 data would go negative; each of those raises instead
+        grid = pde.Grid1D(32, 2.0)
+        cfg = make_cfg(cfl=1.0)
+        rng = np.random.default_rng(0)
+        raised = 0
+        for _ in range(400):
+            v = rng.uniform(0.0, 4.0, 32)
+            v[rng.integers(32)] = 4.0
+            state = pde.State(rng.integers(0, 2, 32).astype(float), v)
+            try:
+                out = pde.step(state, grid, preset_a, cfg)
+            except InvariantViolationError as exc:
+                assert "u out of [0, 1]" in str(exc)
+                raised += 1
+            else:
+                assert out.u.min() >= -pde.TOL_BOUND
+        assert raised > 0
 
     def test_polynomial_d_step_stays_small(self):
         # the exact 2-point Kirchhoff rule of preset A's D keeps every
@@ -412,6 +507,34 @@ class TestRun:
         assert limits["advection"] == report.dt_stats[2] - 2 > 0
         items = dict(report.flat_items())
         assert [items[f"dt_set_by_{name}"] for name in DT_LIMITS] == list(limits.values())
+
+    def test_flat_hump_relaxes_in_few_steps(self, canonical_profiles):
+        # Lip(h) swept up to 2^(13/8) ~ 3.08 rather than 4 (e^s: 21.9 against
+        # 54.6), with h at the minmod face value: 203 steps and a sup drift of
+        # 1.16e-3 (508 steps and 6.18e-3 with a power-of-two ceiling and h at
+        # the cell average)
+        prof = canonical_profiles[2048]
+        snaps, report = pde.run(prof.u, prof.v, prof.grid, prof.params.coeffs,
+                                make_cfg(eps=0.0, t_end=0.5))
+        drift = max(np.abs(snaps[-1].u - prof.u).max(), np.abs(snaps[-1].v - prof.v).max())
+        assert report.dt_stats[2] <= 250
+        assert drift < 2e-3
+
+    def test_limiter_activity_reported(self, canonical_profiles, preset_a):
+        # the plateau edges of the flat hump hold by the limiter; a rest
+        # state never triggers it
+        prof = canonical_profiles[1024]
+        _, report = pde.run(prof.u, prof.v, prof.grid, prof.params.coeffs,
+                            make_cfg(eps=0.0, t_end=0.01))
+        assert report.limiter_cell_steps >= report.dt_stats[2]
+        assert 0.0 <= report.limiter_theta_min < 1.0
+        items = dict(report.flat_items())
+        assert items["limiter_cell_steps"] == report.limiter_cell_steps
+        assert items["limiter_theta_min"] == report.limiter_theta_min
+        grid = pde.Grid1D(32, 5.0)
+        u0 = np.full(32, 0.37)
+        _, rest = pde.run(u0, u0.copy(), grid, preset_a, make_cfg(t_end=0.03))
+        assert (rest.limiter_cell_steps, rest.limiter_theta_min) == (0, 1.0)
 
     def test_dt_min_skips_truncated_steps(self, preset_a):
         # a rest state steps at dt_max = 1e-2; the last step is cut to 5e-3
